@@ -22,8 +22,7 @@ import sys
 
 import numpy as np
 
-from dmap.consistency import build_relationship_matrix, consistency_measure, irc_gap
-from dmap.core import class_mean_prototypes
+from dmap.consistency import consistency_report
 from dmap.evaluation import evaluate
 from dmap.model import DmapConfig, infer_inductive, train
 from dmap.synth import SynthConfig, generate
@@ -41,20 +40,9 @@ def run_cell(seed: int, distortion: float, config: DmapConfig) -> dict:
 
     X_all = np.concatenate([ds.train.features.data, ds.test_features.data], axis=1)
     labels = tuple(ds.train.labels) + tuple(ds.test_labels)
-    Xs = class_mean_prototypes(X_all, labels, ds.split.seen)
-    Xu = class_mean_prototypes(X_all, labels, ds.split.unseen)
-    R_x = build_relationship_matrix(Xs, Xu, config.lam)
-    R_k = build_relationship_matrix(
-        ds.embeddings.subset(ds.split.seen), ds.embeddings.subset(ds.split.unseen),
-        config.lam,
-    )
-    return {
-        "seed": seed,
-        "distortion": distortion,
-        "cm": consistency_measure(Xs, R_x, R_k),
-        "irc_gap": irc_gap(Xs, R_x, R_k),
-        "czsr_acc": acc,
-    }
+    cm, gap = consistency_report(X_all, labels, ds.split, ds.embeddings, config.lam)
+    return {"seed": seed, "distortion": distortion, "cm": cm, "irc_gap": gap,
+            "czsr_acc": acc}
 
 
 def main(argv=None) -> int:

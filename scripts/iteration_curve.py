@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from dmap.evaluation import evaluate
-from dmap.model import infer_inductive, infer_transductive, train
+from dmap.model import infer_inductive, train, transductive_rounds
 from dmap.synth import generate, noisy_setup
 
 
@@ -39,8 +39,8 @@ def run_seed(seed: int, iterations: int) -> list[dict]:
         "prototype_change": "",
     })
     previous = None
-    for it in range(1, iterations + 1):
-        pred, protos = infer_transductive(model, ds.test_features, K_u, iterations=it)
+    rounds = transductive_rounds(model, ds.test_features, K_u, None, iterations)
+    for it, (pred, protos) in enumerate(rounds, start=1):
         change = (
             ""
             if previous is None

@@ -41,6 +41,7 @@ _EXPORTS = {
     "build_relationship_matrix": "consistency",
     "consistency_measure": "consistency",
     "irc_gap": "consistency",
+    "consistency_report": "consistency",
     "project_onto_seen_span": "consistency",
     "preinspect": "consistency",
     # model
@@ -51,6 +52,7 @@ _EXPORTS = {
     "train": "model",
     "infer_inductive": "model",
     "infer_transductive": "model",
+    "transductive_rounds": "model",
     "CZSR": "model",
     "GZSR": "model",
     # evaluation

@@ -5,7 +5,9 @@ Exit codes: 0 success; 2 input validation; 3 numerical failure
 (ill-conditioned or singular systems); 4 file I/O or format problems.
 Structured errors go to stderr as one JSON object.
 
-Configuration precedence is flags > config file > built-in defaults.
+Configuration precedence is flags > config file > built-in defaults; at
+predict time the model's stored config takes the place of the defaults,
+and only the inference-time fields may differ from it.
 ``--threads`` caps the linear-algebra thread pools; it must act before
 ``numpy`` is first imported, which is why every command imports the
 compute modules lazily.
@@ -35,66 +37,33 @@ def _apply_threads(threads: int | None) -> None:
         os.environ[var] = str(threads)
 
 
-def _merge_config(file_config, flag_values: dict):
-    """Apply explicitly-passed flags on top of a config object."""
-    from .model import DmapConfig
+def _config_values(args) -> dict:
+    """``DmapConfig`` fields set by the ``--config`` file, overlaid by the flags passed."""
+    from dataclasses import fields
 
-    base = {
-        "m": file_config.m,
-        "lam": file_config.lam,
-        "gamma": file_config.gamma,
-        "eta": file_config.eta,
-        "train_max_iter": file_config.train_max_iter,
-        "test_max_iter": file_config.test_max_iter,
-        "convergence_tol": file_config.convergence_tol,
-        "mode": file_config.mode,
-        "normalize": file_config.normalize,
-        "center": file_config.center,
-    }
-    for key, value in flag_values.items():
-        if value is not None:
-            base[key] = value
-    return DmapConfig(**base)
-
-
-def _load_effective_config(args, start=None):
-    """Start from defaults (or ``start``), overlay config file, then flags."""
     from . import io as dio
     from .model import DmapConfig
 
-    config = start if start is not None else DmapConfig()
-    epsilon, seed = None, 0
-    if getattr(args, "config", None):
-        config, epsilon, seed = dio.load_run_config(args.config)
-        if start is not None:
-            # A file explicitly given at predict time overrides the
-            # model's stored hyper-parameters wholesale.
-            pass
-    flags = {
-        "m": getattr(args, "m", None),
-        "lam": getattr(args, "lam", None),
-        "gamma": getattr(args, "gamma", None),
-        "eta": getattr(args, "eta", None),
-        "train_max_iter": getattr(args, "train_max_iter", None),
-        "test_max_iter": getattr(args, "test_max_iter", None),
-        "convergence_tol": getattr(args, "convergence_tol", None),
-        "mode": getattr(args, "mode", None),
-        "normalize": getattr(args, "normalize", None),
-        "center": getattr(args, "center", None),
-    }
-    config = _merge_config(config, flags)
-    if getattr(args, "epsilon", None) is not None:
-        epsilon = args.epsilon
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    return config, epsilon, seed
+    config_file = getattr(args, "config", None)
+    values = dio.run_config_fields(dio._load_json(config_file)) if config_file else {}
+    for field in fields(DmapConfig):
+        if getattr(args, field.name, None) is not None:
+            values[field.name] = getattr(args, field.name)
+    return values
+
+
+def _load_effective_config(args):
+    """Built-in defaults, overlaid by the config file, then by the flags."""
+    from .model import DmapConfig
+
+    return DmapConfig(**_config_values(args))
 
 
 def _ensure_parent(path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
-def _add_config_flags(sub, *, include_mode=True) -> None:
+def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="run-config JSON file")
     sub.add_argument("--lambda", dest="lam", type=float, help="relationship ridge regulariser")
     sub.add_argument("--gamma", type=float, help="feature-side ridge regulariser")
@@ -103,8 +72,7 @@ def _add_config_flags(sub, *, include_mode=True) -> None:
     sub.add_argument("--train-max-iter", type=int, help="training refinement iterations")
     sub.add_argument("--test-max-iter", type=int, help="transductive refinement iterations")
     sub.add_argument("--convergence-tol", type=float, help="prototype convergence threshold")
-    if include_mode:
-        sub.add_argument("--mode", choices=("czsr", "gzsr"), help="candidate set at inference")
+    sub.add_argument("--mode", choices=("czsr", "gzsr"), help="candidate set at inference")
     sub.add_argument("--normalize", action="store_const", const=True, default=None,
                      help="l2-normalise feature and embedding columns")
     sub.add_argument("--center", action="store_const", const=True, default=None,
@@ -128,25 +96,14 @@ def _cmd_preinspect(args) -> int:
 
 def _cmd_cm(args) -> int:
     from . import io as dio
-    from .consistency import build_relationship_matrix, consistency_measure, irc_gap
-    from .core import class_mean_prototypes
+    from .consistency import consistency_report
 
     X = dio.load_matrix(args.features)
     labels = dio.load_labels(args.labels)
     split = dio.load_split(args.split)
-    emb = dio.load_matrix(args.embeddings)
-    from .core import EmbeddingMatrix
-
-    embeddings = EmbeddingMatrix(emb, split.seen + split.unseen)
-    lam = args.lam if args.lam is not None else 1e-4
-    seen_protos = class_mean_prototypes(X, labels, split.seen)
-    unseen_protos = class_mean_prototypes(X, labels, split.unseen)
-    R_x = build_relationship_matrix(seen_protos, unseen_protos, lam)
-    R_k = build_relationship_matrix(
-        embeddings.subset(split.seen), embeddings.subset(split.unseen), lam
-    )
-    cm = consistency_measure(seen_protos, R_x, R_k)
-    gap = irc_gap(seen_protos, R_x, R_k)
+    embeddings = dio.load_embeddings(args.embeddings, split)
+    lam = _load_effective_config(args).lam
+    cm, gap = consistency_report(X, labels, split, embeddings, lam)
     _ensure_parent(args.out)
     dio._dump_json({"cm": cm, "irc_gap": gap, "lambda": lam}, args.out)
     print(f"cm={cm!r} irc_gap={gap!r}")
@@ -155,25 +112,24 @@ def _cmd_cm(args) -> int:
 
 def _dataset_from_files(features_path, labels_path, split_path, embeddings_path):
     from . import io as dio
-    from .core import EmbeddingMatrix, FeatureMatrix, LabeledDataset
+    from .core import FeatureMatrix, LabeledDataset
 
     X = dio.load_matrix(features_path)
     labels = dio.load_labels(labels_path)
     split = dio.load_split(split_path)
-    emb = dio.load_matrix(embeddings_path)
-    embeddings = EmbeddingMatrix(emb, split.seen + split.unseen)
+    embeddings = dio.load_embeddings(embeddings_path, split)
     features = FeatureMatrix(X, tuple(f"tr{i:06d}" for i in range(X.shape[1])))
     return LabeledDataset(features=features, labels=labels, split=split,
-                          semantic=embeddings), split, embeddings
+                          semantic=embeddings)
 
 
 def _cmd_train(args) -> int:
     from . import io as dio
     from .model import train
 
-    config, _, _ = _load_effective_config(args)
-    dataset, _, _ = _dataset_from_files(args.features, args.labels, args.split,
-                                        args.embeddings)
+    config = _load_effective_config(args)
+    dataset = _dataset_from_files(args.features, args.labels, args.split,
+                                  args.embeddings)
     model = train(dataset, config)
     dio.save_model(model, args.model_dir)
     print(f"trained: {model.train_iterations_run} refinement iteration(s), "
@@ -182,18 +138,24 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from dataclasses import replace
+
     from . import io as dio
-    from .core import EmbeddingMatrix, FeatureMatrix
-    from .model import infer_inductive, infer_transductive
+    from .core import FeatureMatrix
+    from .errors import ValidationError
+    from .model import TRAINED_FIELDS, infer_inductive, infer_transductive
 
     model = dio.load_model(args.model_dir)
-    config, _, _ = _load_effective_config(args, start=model.config)
-    if config != model.config:
-        from dataclasses import replace
-        model = replace(model, config=config)
+    values = _config_values(args)
+    trained_with = {name: getattr(model.config, name) for name in TRAINED_FIELDS
+                    if name in values and values[name] != getattr(model.config, name)}
+    if trained_with:
+        raise ValidationError(f"the model was trained with {trained_with}; "
+                              "these settings cannot change at predict time")
+    config = replace(model.config, **values)
+    model = replace(model, config=config)
     split = dio.load_split(args.split)
-    emb = dio.load_matrix(args.embeddings)
-    embeddings = EmbeddingMatrix(emb, split.seen + split.unseen)
+    embeddings = dio.load_embeddings(args.embeddings, split)
     X = dio.load_matrix(args.test_features)
     test = FeatureMatrix(X, tuple(f"te{i:06d}" for i in range(X.shape[1])))
     K_unseen = embeddings.subset(split.unseen)
@@ -202,9 +164,7 @@ def _cmd_predict(args) -> int:
     if args.inductive:
         prediction = infer_inductive(model, test, K_unseen, K_seen, config.mode)
     else:
-        iterations = args.iterations if args.iterations is not None else config.test_max_iter
-        prediction, k_tilde_u = infer_transductive(model, test, K_unseen,
-                                                   config.mode, iterations)
+        prediction, k_tilde_u = infer_transductive(model, test, K_unseen, config.mode)
         dio.save_matrix(k_tilde_u.data, _ktilde_path(args.out))
     dio.save_prediction(prediction, config.mode, args.out)
     print(f"predicted {len(prediction.instance_ids)} instance(s) -> {args.out}")
@@ -254,13 +214,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     from . import io as dio
-    from .consistency import build_relationship_matrix, consistency_measure, irc_gap
-    from .core import FeatureMatrix, class_mean_prototypes
+    from .consistency import consistency_report
     from .evaluation import evaluate
-    from .model import infer_inductive, infer_transductive, train
+    from .model import infer_inductive, train, transductive_rounds
     import numpy as np
 
-    config, _, _ = _load_effective_config(args)
+    config = _load_effective_config(args)
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,43 +236,30 @@ def _cmd_pipeline(args) -> int:
     # the seen prototypes, the labelled test side the unseen ones).
     all_X = np.concatenate([train_set.features.data, test_features.data], axis=1)
     all_labels = tuple(train_set.labels) + tuple(test_labels)
-    seen_protos = class_mean_prototypes(all_X, all_labels, split.seen)
-    unseen_protos = class_mean_prototypes(all_X, all_labels, split.unseen)
-    R_x = build_relationship_matrix(seen_protos, unseen_protos, config.lam)
-    R_k = build_relationship_matrix(K_seen, K_unseen, config.lam)
-    cm_value = consistency_measure(seen_protos, R_x, R_k)
-    gap_value = irc_gap(seen_protos, R_x, R_k)
+    cm_value, gap_value = consistency_report(all_X, all_labels, split, embeddings, config.lam)
 
     rows = []
 
-    prediction = infer_inductive(model, test_features, K_unseen, K_seen, config.mode)
-    dio.save_prediction(prediction, config.mode, out_dir / "pred_inductive.json")
-    report = evaluate(prediction, test_labels, config.mode, ks=(1,))
-    dio.save_eval_report(report, out_dir / "eval_inductive.json")
-    rows.append({
-        "iteration": 0,
-        "mode": config.mode,
-        "mean_per_class_acc": report.mean_per_class_accuracy,
-        "top1": report.top_k_accuracy[1],
-        "cm": cm_value,
-        "irc_gap": gap_value,
-    })
-
-    for t in range(1, config.test_max_iter + 1):
-        prediction, k_tilde_u = infer_transductive(model, test_features, K_unseen,
-                                                   config.mode, iterations=t)
-        dio.save_prediction(prediction, config.mode, out_dir / f"pred_iter{t}.json")
-        dio.save_matrix(k_tilde_u.data, out_dir / f"ktilde_u_iter{t}.dmx")
+    def record(iteration, prediction, stem):
+        dio.save_prediction(prediction, config.mode, out_dir / f"pred_{stem}.json")
         report = evaluate(prediction, test_labels, config.mode, ks=(1,))
-        dio.save_eval_report(report, out_dir / f"eval_iter{t}.json")
+        dio.save_eval_report(report, out_dir / f"eval_{stem}.json")
         rows.append({
-            "iteration": t,
+            "iteration": iteration,
             "mode": config.mode,
             "mean_per_class_acc": report.mean_per_class_accuracy,
             "top1": report.top_k_accuracy[1],
             "cm": cm_value,
             "irc_gap": gap_value,
         })
+
+    record(0, infer_inductive(model, test_features, K_unseen, K_seen, config.mode),
+           "inductive")
+    rounds = transductive_rounds(model, test_features, K_unseen, config.mode,
+                                 config.test_max_iter)
+    for t, (prediction, k_tilde_u) in enumerate(rounds, start=1):
+        dio.save_matrix(k_tilde_u.data, out_dir / f"ktilde_u_iter{t}.dmx")
+        record(t, prediction, f"iter{t}")
 
     dio.write_summary_csv(rows, out_dir / "summary.csv")
     for row in rows:
@@ -350,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--embeddings", required=True,
                      help="embeddings matrix file, columns in split order")
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="relationship ridge regulariser (default 1e-4)")
+                     help="relationship ridge regulariser (default: as for train)")
     sub.add_argument("--out", required=True, help="output JSON with cm and irc_gap")
     sub.set_defaults(func=_cmd_cm)
 
@@ -371,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sub)
     sub.add_argument("--inductive", action="store_true",
                      help="score against the given embeddings instead of transductive prototypes")
-    sub.add_argument("--iterations", type=int, default=None,
-                     help="transductive refinement iterations (default: test_max_iter)")
     sub.add_argument("--out", required=True, help="prediction JSON")
     sub.set_defaults(func=_cmd_predict)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import PrototypeSet, as_array, _freeze
+from .core import as_array, class_mean_prototypes, _freeze
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -41,14 +41,11 @@ class RelationshipMatrix:
 
     data: np.ndarray
     lam: float
-    source_space: str  # "feature" or "semantic"
 
     def __post_init__(self):
         data = _freeze(np.atleast_2d(as_array(self.data)))
         if not np.all(np.isfinite(data)):
             raise ValidationError("relationship matrix contains non-finite entries")
-        if self.source_space not in ("feature", "semantic"):
-            raise ValidationError(f"unknown source space {self.source_space!r}")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "lam", float(self.lam))
 
@@ -117,29 +114,16 @@ def extract_relationship(seen_prototypes, target, lam: float) -> np.ndarray:
     return scipy.linalg.cho_solve(cho, P.T @ t)
 
 
-def build_relationship_matrix(
-    seen_prototypes, unseen_prototypes, lam: float, *, source_space: str | None = None
-) -> RelationshipMatrix:
-    """Stack :func:`extract_relationship` over every unseen prototype column.
-
-    ``source_space`` tags where the prototypes live; when omitted it is
-    inferred: prototype sets are tagged ``feature``, anything else
-    (embedding matrices, raw arrays of embeddings) ``semantic`` only when
-    it carries class ids without being a prototype set.
-    """
+def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) -> RelationshipMatrix:
+    """Stack :func:`extract_relationship` over every unseen prototype column."""
     P = as_array(seen_prototypes)
     U = as_array(unseen_prototypes)
     if P.shape[0] != U.shape[0]:
         raise DimensionMismatch(
             f"seen prototypes have dim {P.shape[0]}, unseen have dim {U.shape[0]}"
         )
-    if source_space is None:
-        is_embedding = hasattr(seen_prototypes, "class_ids") and not isinstance(
-            seen_prototypes, PrototypeSet
-        )
-        source_space = "semantic" if is_embedding else "feature"
     cols = [extract_relationship(P, U[:, i], lam) for i in range(U.shape[1])]
-    return RelationshipMatrix(np.stack(cols, axis=1), lam, source_space)
+    return RelationshipMatrix(np.stack(cols, axis=1), lam)
 
 
 def consistency_measure(seen_prototypes, R_x: RelationshipMatrix, R_k: RelationshipMatrix) -> float:
@@ -192,6 +176,22 @@ def irc_gap(seen_prototypes, R_x: RelationshipMatrix, R_k: RelationshipMatrix) -
         raise DimensionMismatch(f"relationship shapes differ: {Rx.shape} vs {Rk.shape}")
     ref = np.linalg.norm(P @ Rk)
     return float(np.linalg.norm(P @ Rx - P @ Rk) / max(ref, np.finfo(np.float64).tiny))
+
+
+def consistency_report(features, labels, split, embeddings, lam: float) -> tuple[float, float]:
+    """``(cm, irc_gap)`` of the class-mean feature prototypes against the embeddings.
+
+    ``features`` (``d x n``) and ``labels`` cover instances of the seen
+    and the unseen classes of ``split``; ``embeddings`` carries the class
+    ids of both.  ``R_x`` relates the unseen class means to the seen ones,
+    ``R_k`` the unseen embeddings to the seen ones, both with ridge ``lam``.
+    """
+    seen = class_mean_prototypes(features, labels, split.seen)
+    unseen = class_mean_prototypes(features, labels, split.unseen)
+    R_x = build_relationship_matrix(seen, unseen, lam)
+    R_k = build_relationship_matrix(embeddings.subset(split.seen),
+                                    embeddings.subset(split.unseen), lam)
+    return consistency_measure(seen, R_x, R_k), irc_gap(seen, R_x, R_k)
 
 
 def project_onto_seen_span(K_s, k_u) -> ProjectionDecomposition:

@@ -17,6 +17,7 @@ import csv
 import gzip
 import io as _stdio
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -160,19 +161,8 @@ def load_labels(path) -> tuple:
 
 # --- run configuration ----------------------------------------------------
 
-#: JSON key -> DmapConfig attribute (identical except for ``lambda``).
-_CONFIG_KEYS = {
-    "lambda": "lam",
-    "gamma": "gamma",
-    "eta": "eta",
-    "m": "m",
-    "train_max_iter": "train_max_iter",
-    "test_max_iter": "test_max_iter",
-    "convergence_tol": "convergence_tol",
-    "mode": "mode",
-    "normalize": "normalize",
-    "center": "center",
-}
+#: JSON key -> DmapConfig attribute: the field names, with ``lambda`` for ``lam``.
+_CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(DmapConfig)}
 
 
 def run_config_to_dict(config: DmapConfig, epsilon: float | None = None,
@@ -183,20 +173,22 @@ def run_config_to_dict(config: DmapConfig, epsilon: float | None = None,
     return out
 
 
-def run_config_from_dict(obj: Mapping) -> tuple[DmapConfig, float | None, int]:
-    """Parse a run-config mapping; unknown keys are rejected.
-
-    Returns ``(DmapConfig, epsilon, seed)`` — the two extra keys cover
-    pre-inspection and dataset seeding, which are not model
-    hyper-parameters.
-    """
+def run_config_fields(obj: Mapping) -> dict:
+    """The ``DmapConfig`` fields a run-config mapping sets; unknown keys
+    are rejected.  ``epsilon`` and ``seed`` are accepted but are not
+    model hyper-parameters."""
     if not isinstance(obj, Mapping):
         raise ValidationError("run config must be a JSON object")
     unknown = set(obj) - set(_CONFIG_KEYS) - {"epsilon", "seed"}
     if unknown:
         raise ValidationError(f"unknown run-config keys: {sorted(unknown)}")
-    kwargs = {attr: obj[key] for key, attr in _CONFIG_KEYS.items() if key in obj}
-    config = DmapConfig(**kwargs)
+    return {attr: obj[key] for key, attr in _CONFIG_KEYS.items() if key in obj}
+
+
+def run_config_from_dict(obj: Mapping) -> tuple[DmapConfig, float | None, int]:
+    """Parse a run-config mapping into ``(DmapConfig, epsilon, seed)``;
+    the two extra keys cover pre-inspection and dataset seeding."""
+    config = DmapConfig(**run_config_fields(obj))
     epsilon = obj.get("epsilon")
     if epsilon is not None:
         epsilon = float(epsilon)
@@ -327,7 +319,10 @@ def load_model(directory) -> DmapModel:
     meta = _load_json(directory / _MODEL_META)
     if not isinstance(meta, dict) or meta.get("schema") != "dmap-model 1":
         raise ParseError(f"not a model directory: {directory}")
-    config, _, _ = run_config_from_dict(meta["config"])
+    missing = {"config", "seen_class_ids", "train_iterations_run"} - set(meta)
+    if missing:
+        raise ParseError(f"{_MODEL_META} is missing keys {sorted(missing)}: {directory}")
+    config = DmapConfig(**run_config_fields(meta["config"]))
     f_s = load_matrix(directory / "f_s.dmx")
     f_tilde = load_matrix(directory / "f_tilde.dmx")
     k_tilde = load_matrix(directory / "k_tilde_s.dmx")
@@ -364,18 +359,24 @@ def save_dataset(dataset: SynthDataset, directory) -> None:
     save_split(split, directory / "split.json")
 
 
+def load_embeddings(path, split: ClassSplit) -> EmbeddingMatrix:
+    """Read an embeddings matrix whose columns are the split's classes,
+    seen then unseen (the layout :func:`save_dataset` writes)."""
+    class_ids = split.seen + split.unseen
+    emb = load_matrix(path)
+    if emb.shape[1] != len(class_ids):
+        raise ShapeMismatch(
+            f"{Path(path).name} has {emb.shape[1]} columns but the split lists "
+            f"{len(class_ids)} classes"
+        )
+    return EmbeddingMatrix(emb, class_ids)
+
+
 def load_dataset(directory) -> tuple[LabeledDataset, FeatureMatrix, tuple, EmbeddingMatrix]:
     """Read a dataset directory back; inverse of :func:`save_dataset`."""
     directory = Path(directory)
     split = load_split(directory / "split.json")
-    class_ids = split.seen + split.unseen
-    emb = load_matrix(directory / "embeddings.dmx")
-    if emb.shape[1] != len(class_ids):
-        raise ShapeMismatch(
-            f"embeddings.dmx has {emb.shape[1]} columns but the split lists "
-            f"{len(class_ids)} classes"
-        )
-    embeddings = EmbeddingMatrix(emb, class_ids)
+    embeddings = load_embeddings(directory / "embeddings.dmx", split)
     train_X = load_matrix(directory / "train_features.dmx")
     train_labels = load_labels(directory / "train_labels.json")
     test_X = load_matrix(directory / "test_features.dmx")

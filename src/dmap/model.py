@@ -117,6 +117,12 @@ class DmapConfig:
             raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {self.mode!r}")
 
 
+#: The ``DmapConfig`` fields a trained model's maps and prototypes were fit
+#: with; the others (``m``, ``lam``, ``test_max_iter``, ``mode``) only act
+#: at inference time.
+TRAINED_FIELDS = ("gamma", "eta", "train_max_iter", "convergence_tol", "normalize", "center")
+
+
 @dataclass(frozen=True)
 class DmapModel:
     """Trained dual-path model.
@@ -300,6 +306,31 @@ def _test_arrays(model: DmapModel, X_test) -> tuple[np.ndarray, tuple]:
     return X, ids
 
 
+def _class_ids(K, prefix: str) -> tuple:
+    return tuple(getattr(K, "class_ids", None) or
+                 (f"{prefix}{j:04d}" for j in range(as_array(K).shape[1])))
+
+
+def _candidates(model: DmapModel, mode: str | None, unseen, seen) -> tuple[np.ndarray, tuple]:
+    """Candidate matrix and ids under ``mode`` (default: the model's): the
+    unseen classes (``czsr``), or the seen followed by the unseen (``gzsr``)."""
+    mode = model.config.mode if mode is None else mode
+    if mode not in (CZSR, GZSR):
+        raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {mode!r}")
+    Ku = as_array(unseen)
+    if mode == CZSR:
+        return Ku, _class_ids(unseen, "u")
+    if seen is None:
+        raise ValidationError("gzsr inference needs the seen embeddings")
+    Ks = as_array(seen)
+    if Ks.shape[0] != Ku.shape[0]:
+        raise DimensionMismatch(
+            f"seen embeddings have dim {Ks.shape[0]}, unseen have dim {Ku.shape[0]}"
+        )
+    return (np.concatenate([Ks, Ku], axis=1),
+            _class_ids(seen, "s") + _class_ids(unseen, "u"))
+
+
 def infer_inductive(model: DmapModel, X_test, K_unseen,
                     K_seen=None, mode: str | None = None) -> Prediction:
     """Classify by inner product between ``f_s`` predictions and embeddings.
@@ -307,28 +338,8 @@ def infer_inductive(model: DmapModel, X_test, K_unseen,
     Candidates are the unseen classes alone (``czsr``) or seen followed
     by unseen (``gzsr``, which requires ``K_seen``).
     """
-    mode = model.config.mode if mode is None else mode
-    if mode not in (CZSR, GZSR):
-        raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {mode!r}")
+    candidates, candidate_ids = _candidates(model, mode, K_unseen, K_seen)
     X, instance_ids = _test_arrays(model, X_test)
-    Ku = as_array(K_unseen)
-    unseen_ids = tuple(getattr(K_unseen, "class_ids", None) or
-                       (f"u{j:04d}" for j in range(Ku.shape[1])))
-    if mode == GZSR:
-        if K_seen is None:
-            raise ValidationError("gzsr inference needs the seen embeddings")
-        Ks = as_array(K_seen)
-        seen_ids = tuple(getattr(K_seen, "class_ids", None) or
-                         (f"s{j:04d}" for j in range(Ks.shape[1])))
-        if Ks.shape[0] != Ku.shape[0]:
-            raise DimensionMismatch(
-                f"seen embeddings have dim {Ks.shape[0]}, unseen have dim {Ku.shape[0]}"
-            )
-        candidates = np.concatenate([Ks, Ku], axis=1)
-        candidate_ids = seen_ids + unseen_ids
-    else:
-        candidates = Ku
-        candidate_ids = unseen_ids
     if model.config.normalize:
         candidates = l2_normalize_columns(candidates)
     preds = predict_semantic(model.f_s, X)
@@ -340,49 +351,51 @@ def infer_inductive(model: DmapModel, X_test, K_unseen,
     return _score_and_predict(candidates, candidate_ids, preds, instance_ids)
 
 
+def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
+                        iterations: int):
+    """Yield ``(Prediction, PrototypeSet)`` after each transductive round.
+
+    Round 1 builds each unseen prototype from the ``m`` test features
+    whose ``f_s`` predictions lie nearest the class embedding; rounds 2+
+    re-anchor at the current prototypes and search among ``f~_s``
+    predictions.  Each round's prototypes score the batch via
+    ``<f~_s(x), k~_c>`` (against the refined seen prototypes too under
+    ``gzsr``), so round ``t`` equals ``infer_transductive(...,
+    iterations=t)``.
+    """
+    X, instance_ids = _test_arrays(model, X_test)
+    Ku = as_array(K_unseen)
+    unseen_ids = _class_ids(K_unseen, "u")
+    if model.config.normalize:
+        Ku = l2_normalize_columns(Ku)
+    search = predict_semantic(model.f_s, X)
+    if Ku.shape[0] != search.shape[0]:
+        raise DimensionMismatch(
+            f"unseen embeddings have dim {Ku.shape[0]} but f_s produces dim {search.shape[0]}"
+        )
+    preds_tilde = predict_semantic(model.f_tilde, X)
+    k_tilde_u = Ku
+    for _ in range(iterations):
+        k_tilde_u = _refine_prototypes(k_tilde_u, search, X, model.config.m)
+        search = preds_tilde
+        prototypes = PrototypeSet(k_tilde_u, unseen_ids, source=KNN_AVERAGE)
+        candidates, candidate_ids = _candidates(model, mode, prototypes, model.k_tilde_s)
+        yield (_score_and_predict(candidates, candidate_ids, preds_tilde, instance_ids),
+               prototypes)
+
+
 def infer_transductive(model: DmapModel, X_test, K_unseen,
                        mode: str | None = None,
                        iterations: int | None = None) -> tuple[Prediction, PrototypeSet]:
-    """Batch inference with transductively constructed unseen prototypes.
-
-    Iteration 1 builds each unseen prototype from the ``m`` test features
-    whose ``f_s`` predictions lie nearest the class embedding; iterations
-    2+ re-anchor at the current prototypes and search among ``f~_s``
-    predictions.  The final prototypes score the batch via
-    ``<f~_s(x), k~_c>`` (against the refined seen prototypes too under
-    ``gzsr``).
+    """Batch inference with transductively constructed unseen prototypes:
+    the last of ``iterations`` (default ``test_max_iter``) rounds of
+    :func:`transductive_rounds`.
 
     Returns the prediction and the constructed unseen ``PrototypeSet``.
     """
-    mode = model.config.mode if mode is None else mode
-    if mode not in (CZSR, GZSR):
-        raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {mode!r}")
     iterations = model.config.test_max_iter if iterations is None else iterations
     if iterations < 1:
         raise ValidationError("transductive inference needs at least one iteration")
-    X, instance_ids = _test_arrays(model, X_test)
-    Ku = as_array(K_unseen)
-    unseen_ids = tuple(getattr(K_unseen, "class_ids", None) or
-                       (f"u{j:04d}" for j in range(Ku.shape[1])))
-    if model.config.normalize:
-        Ku = l2_normalize_columns(Ku)
-
-    preds_s = predict_semantic(model.f_s, X)
-    if Ku.shape[0] != preds_s.shape[0]:
-        raise DimensionMismatch(
-            f"unseen embeddings have dim {Ku.shape[0]} but f_s produces dim {preds_s.shape[0]}"
-        )
-    k_tilde_u = _refine_prototypes(Ku, preds_s, X, model.config.m)
-    preds_tilde = predict_semantic(model.f_tilde, X)
-    for _ in range(iterations - 1):
-        k_tilde_u = _refine_prototypes(k_tilde_u, preds_tilde, X, model.config.m)
-
-    if mode == GZSR:
-        candidates = np.concatenate([model.k_tilde_s.data, k_tilde_u], axis=1)
-        candidate_ids = model.k_tilde_s.class_ids + unseen_ids
-    else:
-        candidates = k_tilde_u
-        candidate_ids = unseen_ids
-    prediction = _score_and_predict(candidates, candidate_ids, preds_tilde, instance_ids)
-    prototype_set = PrototypeSet(k_tilde_u, unseen_ids, source=KNN_AVERAGE)
-    return prediction, prototype_set
+    for result in transductive_rounds(model, X_test, K_unseen, mode, iterations):
+        pass
+    return result

@@ -20,13 +20,7 @@ import numpy as np
 import pytest
 
 from dmap.cli import main as cli_main
-from dmap.consistency import (
-    build_relationship_matrix,
-    consistency_measure,
-    irc_gap,
-    preinspect,
-)
-from dmap.core import class_mean_prototypes
+from dmap.consistency import consistency_report, preinspect
 from dmap.evaluation import evaluate
 from dmap.io import load_dataset, load_matrix, save_matrix
 from dmap.linmap import solve_ridge_map
@@ -57,15 +51,7 @@ def _verdict(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> 
 def _dataset_cm_gap(ds, lam):
     X_all = np.concatenate([ds.train.features.data, ds.test_features.data], axis=1)
     labels = tuple(ds.train.labels) + tuple(ds.test_labels)
-    Xs = class_mean_prototypes(X_all, labels, ds.split.seen)
-    Xu = class_mean_prototypes(X_all, labels, ds.split.unseen)
-    R_x = build_relationship_matrix(Xs, Xu, lam)
-    R_k = build_relationship_matrix(
-        ds.embeddings.subset(ds.split.seen),
-        ds.embeddings.subset(ds.split.unseen),
-        lam,
-    )
-    return consistency_measure(Xs, R_x, R_k), irc_gap(Xs, R_x, R_k)
+    return consistency_report(X_all, labels, ds.split, ds.embeddings, lam)
 
 
 def test_criterion_01_closed_form_matches_normal_equations():
@@ -391,15 +377,7 @@ def test_criterion_10_real_data_reproduction():
         train_set, test_features, test_labels, embeddings = load_dataset(cub)
         X_all = np.concatenate([train_set.features.data, test_features.data], axis=1)
         labels = tuple(train_set.labels) + tuple(test_labels)
-        Xs = class_mean_prototypes(X_all, labels, train_set.split.seen)
-        Xu = class_mean_prototypes(X_all, labels, train_set.split.unseen)
-        R_x = build_relationship_matrix(Xs, Xu, 1e-4)
-        R_k = build_relationship_matrix(
-            embeddings.subset(train_set.split.seen),
-            embeddings.subset(train_set.split.unseen),
-            1e-4,
-        )
-        cm = consistency_measure(Xs, R_x, R_k)
+        cm, _ = consistency_report(X_all, labels, train_set.split, embeddings, 1e-4)
         checks.append((f"cub cm {cm:.4f} in 0.47+/-0.05", abs(cm - 0.47) <= 0.05))
     elapsed = time.monotonic() - t0
     ok = all(passed for _, passed in checks)

@@ -10,6 +10,7 @@ import pytest
 
 from dmap import io as dio
 from dmap.cli import main
+from dmap.errors import ParseError
 from dmap.model import Prediction
 
 EXACT_SYNTH = {
@@ -195,7 +196,7 @@ class TestTrainPredictEvalChain:
     def test_predict_single_iteration_flag(self, chain, exact_data_dir):
         tmp, model_dir = chain
         code = main([
-            "predict", "--model-dir", str(model_dir), "--iterations", "1",
+            "predict", "--model-dir", str(model_dir), "--test-max-iter", "1",
             "--test-features", str(exact_data_dir / "test_features.dmx"),
             "--embeddings", str(exact_data_dir / "embeddings.dmx"),
             "--split", str(exact_data_dir / "split.json"),
@@ -223,6 +224,132 @@ class TestTrainPredictEvalChain:
         model = dio.load_model(model_dir)
         assert model.config.m == 3          # flag beats file
         assert model.config.lam == 1e-6     # file beats default
+
+
+def predict_argv(model_dir, data_dir, out):
+    return [
+        "predict", "--model-dir", str(model_dir),
+        "--test-features", str(data_dir / "test_features.dmx"),
+        "--embeddings", str(data_dir / "embeddings.dmx"),
+        "--split", str(data_dir / "split.json"),
+        "--out", str(out),
+    ]
+
+
+def train_model(data_dir, model_dir, *flags):
+    assert main([
+        "train",
+        "--features", str(data_dir / "train_features.dmx"),
+        "--labels", str(data_dir / "train_labels.json"),
+        "--split", str(data_dir / "split.json"),
+        "--embeddings", str(data_dir / "embeddings.dmx"),
+        "--model-dir", str(model_dir),
+    ] + EXACT_FLAGS + list(flags)) == 0
+    return model_dir
+
+
+def one_json_error(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+class TestPredictOverrides:
+    """At predict time only the inference-time settings may change; the
+    config file and the flags overlay the model's stored config."""
+
+    @pytest.fixture(scope="class")
+    def plain_model(self, exact_data_dir, tmp_path_factory):
+        return train_model(exact_data_dir, tmp_path_factory.mktemp("plain") / "model")
+
+    @pytest.fixture(scope="class")
+    def centred_model(self, exact_data_dir, tmp_path_factory):
+        return train_model(exact_data_dir, tmp_path_factory.mktemp("centred") / "model",
+                           "--center")
+
+    @pytest.mark.parametrize("flags, file_config", [
+        (["--gamma", "1"], {"gamma": 1.0}),
+        (["--eta", "1"], {"eta": 1.0}),
+        (["--normalize"], {"normalize": True}),
+        (["--center"], {"center": True}),
+        (["--train-max-iter", "0"], {"train_max_iter": 0}),
+        (["--convergence-tol", "0.01"], {"convergence_tol": 0.01}),
+    ])
+    def test_changing_a_trained_setting_exits_2(self, plain_model, exact_data_dir,
+                                                 tmp_path, capsys, flags, file_config):
+        out = tmp_path / "pred.json"
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(json.dumps(file_config))
+        for extra in (flags, ["--config", str(run_cfg)]):
+            assert main(predict_argv(plain_model, exact_data_dir, out) + extra) == 2
+            assert one_json_error(capsys) == "ValidationError"
+            assert not out.exists()
+
+    def test_the_models_own_values_are_allowed(self, plain_model, exact_data_dir, tmp_path):
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(json.dumps({"normalize": False, "center": False,
+                                       "convergence_tol": 1e-4}))
+        plain, same = tmp_path / "plain.json", tmp_path / "same.json"
+        assert main(predict_argv(plain_model, exact_data_dir, plain)) == 0
+        assert main(predict_argv(plain_model, exact_data_dir, same) + [
+            "--config", str(run_cfg), "--gamma", "1e-10", "--eta", "1e-10",
+            "--train-max-iter", "2",
+        ]) == 0
+        assert plain.read_bytes() == same.read_bytes()
+
+    def test_config_file_overlays_the_stored_config(self, centred_model, exact_data_dir,
+                                                    tmp_path):
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(json.dumps({"m": 5}))
+        by_file, by_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        assert main(predict_argv(centred_model, exact_data_dir, by_file)
+                    + ["--config", str(run_cfg)]) == 0
+        assert main(predict_argv(centred_model, exact_data_dir, by_flag)
+                    + ["--m", "5"]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+        assert ((tmp_path / "file_ktilde_u.dmx").read_bytes()
+                == (tmp_path / "flag_ktilde_u.dmx").read_bytes())
+
+    @pytest.mark.parametrize("key", ["config", "seen_class_ids", "train_iterations_run"])
+    def test_model_json_missing_a_key_exits_4(self, plain_model, exact_data_dir,
+                                              tmp_path, capsys, key):
+        broken = tmp_path / "model"
+        broken.mkdir()
+        for path in plain_model.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        meta = json.loads((broken / "model.json").read_text())
+        del meta[key]
+        (broken / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match=key):
+            dio.load_model(broken)
+        assert main(predict_argv(broken, exact_data_dir, tmp_path / "pred.json")) == 4
+        assert one_json_error(capsys) == "ParseError"
+
+
+@pytest.mark.parametrize("command", ["cm", "train", "predict", "pipeline"])
+def test_embedding_columns_disagreeing_with_split_exit_4(command, exact_data_dir,
+                                                         tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in exact_data_dir.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    model_dir = train_model(data, tmp_path / "model")
+    emb = dio.load_matrix(data / "embeddings.dmx")
+    dio.save_matrix(emb[:, :-1], data / "embeddings.dmx")
+    common = ["--split", str(data / "split.json"),
+              "--embeddings", str(data / "embeddings.dmx")]
+    argv = {
+        "cm": ["cm", "--features", str(data / "train_features.dmx"),
+               "--labels", str(data / "train_labels.json"),
+               "--out", str(tmp_path / "cm.json")] + common,
+        "train": ["train", "--features", str(data / "train_features.dmx"),
+                  "--labels", str(data / "train_labels.json"),
+                  "--model-dir", str(tmp_path / "model2")] + common,
+        "predict": predict_argv(model_dir, data, tmp_path / "pred.json"),
+        "pipeline": ["pipeline", "--data-dir", str(data), "--out-dir", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == 4
+    assert one_json_error(capsys) == "ShapeMismatch"
 
 
 class TestEvalCommand:

@@ -1,5 +1,7 @@
 """Inter-class relationships, the consistency measure, and pre-inspection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from dmap.consistency import (
     RelationshipMatrix,
     build_relationship_matrix,
     consistency_measure,
+    consistency_report,
     extract_relationship,
     irc_gap,
     preinspect,
     project_onto_seen_span,
 )
-from dmap.core import PrototypeSet
+from dmap.core import PrototypeSet, class_mean_prototypes
 from dmap.errors import SingularSystem
 from dmap.linmap import predict_semantic, solve_ridge_map
 from dmap.model import train
@@ -100,43 +103,43 @@ class TestBuildRelationshipMatrix:
 class TestConsistencyMeasure:
     def test_equal_relationships_give_one(self, rng):
         A = rng.normal(size=(5, 4))
-        R = RelationshipMatrix(rng.normal(size=(4, 3)) + 1.0, 1e-4, "feature")
+        R = RelationshipMatrix(rng.normal(size=(4, 3)) + 1.0, 1e-4)
         assert consistency_measure(protos(A), R, R) == pytest.approx(1.0)
 
     def test_hand_value_exp_sqrt2(self):
         # One unseen class; seen-span images (1,0) and (0,1):
         # distance sqrt(2), both norms 1 -> exp(-sqrt(2)).
         A = np.eye(2)
-        R_x = RelationshipMatrix(np.array([[1.0], [0.0]]), 0.0, "feature")
-        R_k = RelationshipMatrix(np.array([[0.0], [1.0]]), 0.0, "semantic")
+        R_x = RelationshipMatrix(np.array([[1.0], [0.0]]), 0.0)
+        R_k = RelationshipMatrix(np.array([[0.0], [1.0]]), 0.0)
         cm = consistency_measure(protos(A), R_x, R_k)
         assert cm == pytest.approx(np.exp(-np.sqrt(2.0)))
         assert cm == pytest.approx(0.24312, abs=5e-6)
 
     def test_degenerate_both_zero_counts_as_one(self, rng):
         A = rng.normal(size=(4, 3))
-        zero = RelationshipMatrix(np.zeros((3, 1)), 0.0, "feature")
+        zero = RelationshipMatrix(np.zeros((3, 1)), 0.0)
         assert consistency_measure(protos(A), zero, zero) == pytest.approx(1.0)
 
     def test_degenerate_one_zero_counts_as_zero(self, rng):
         A = np.eye(3)
-        zero = RelationshipMatrix(np.zeros((3, 1)), 0.0, "feature")
-        nonzero = RelationshipMatrix(np.ones((3, 1)), 0.0, "semantic")
+        zero = RelationshipMatrix(np.zeros((3, 1)), 0.0)
+        nonzero = RelationshipMatrix(np.ones((3, 1)), 0.0)
         assert consistency_measure(protos(A), zero, nonzero) == pytest.approx(0.0)
 
     @given(st.integers(0, 1000))
     def test_bounded_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(5, 4))
-        R_x = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4, "feature")
-        R_k = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4, "semantic")
+        R_x = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4)
+        R_k = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4)
         cm = consistency_measure(protos(A), R_x, R_k)
         assert 0.0 <= cm <= 1.0
 
     def test_rotation_invariance(self, rng):
         A = rng.normal(size=(6, 4))
-        R_x = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4, "feature")
-        R_k = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4, "semantic")
+        R_x = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4)
+        R_k = RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4)
         Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         before = consistency_measure(protos(A), R_x, R_k)
         after = consistency_measure(protos(Q @ A), R_x, R_k)
@@ -146,24 +149,40 @@ class TestConsistencyMeasure:
 class TestIrcGap:
     def test_zero_when_equal(self, rng):
         A = rng.normal(size=(5, 4))
-        R = RelationshipMatrix(rng.normal(size=(4, 2)), 1e-4, "feature")
+        R = RelationshipMatrix(rng.normal(size=(4, 2)), 1e-4)
         assert irc_gap(protos(A), R, R) == 0.0
 
     def test_doubled_matrix_gives_one(self, rng):
         A = rng.normal(size=(5, 4))
         base = rng.normal(size=(4, 2))
-        R_k = RelationshipMatrix(base, 1e-4, "semantic")
-        R_x = RelationshipMatrix(2.0 * base, 1e-4, "feature")
+        R_k = RelationshipMatrix(base, 1e-4)
+        R_x = RelationshipMatrix(2.0 * base, 1e-4)
         assert irc_gap(protos(A), R_x, R_k) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_direct_frobenius_oracle(self, rng):
         A = rng.normal(size=(6, 5))
         base = rng.normal(size=(5, 3))
         E = 1e-3 * rng.normal(size=(5, 3))
-        R_k = RelationshipMatrix(base, 1e-4, "semantic")
-        R_x = RelationshipMatrix(base + E, 1e-4, "feature")
+        R_k = RelationshipMatrix(base, 1e-4)
+        R_x = RelationshipMatrix(base + E, 1e-4)
         expect = np.linalg.norm(A @ (base + E) - A @ base) / np.linalg.norm(A @ base)
         assert irc_gap(protos(A), R_x, R_k) == pytest.approx(expect, rel=1e-12)
+
+
+class TestConsistencyReport:
+    def test_equals_the_four_call_composition_bit_for_bit(self):
+        synth_cfg, _ = defect_setup(seed=2)
+        ds = generate(replace(synth_cfg, noise_sigma=0.3, irc_distortion=0.5))
+        X = np.concatenate([ds.train.features.data, ds.test_features.data], axis=1)
+        labels = tuple(ds.train.labels) + tuple(ds.test_labels)
+        seen = class_mean_prototypes(X, labels, ds.split.seen)
+        unseen = class_mean_prototypes(X, labels, ds.split.unseen)
+        R_x = build_relationship_matrix(seen, unseen, 1e-3)
+        R_k = build_relationship_matrix(ds.embeddings.subset(ds.split.seen),
+                                        ds.embeddings.subset(ds.split.unseen), 1e-3)
+        expected = (consistency_measure(seen, R_x, R_k), irc_gap(seen, R_x, R_k))
+        assert consistency_report(X, labels, ds.split, ds.embeddings, 1e-3) == expected
+        assert 0.0 < expected[0] < 1.0 and expected[1] > 0.0
 
 
 class TestProjection:

@@ -30,6 +30,7 @@ from dmap.model import (
     infer_inductive,
     infer_transductive,
     train,
+    transductive_rounds,
 )
 from dmap.synth import defect_setup, exact_recovery_setup, generate, noisy_setup
 
@@ -459,6 +460,23 @@ class TestTransductive:
             model, data.test_features, K_u, mode=GZSR
         )
         assert pred.candidate_ids == data.split.seen + data.split.unseen
+
+    @pytest.mark.parametrize("mode", [CZSR, GZSR])
+    def test_round_t_equals_t_iterations(self, noisy_world, mode):
+        data, model = noisy_world
+        K_u = data.embeddings.subset(data.split.unseen)
+        rounds = list(transductive_rounds(model, data.test_features, K_u, mode, 3))
+        assert len(rounds) == 3
+        for t, (pred, protos) in enumerate(rounds, start=1):
+            ref, ref_protos = infer_transductive(model, data.test_features, K_u,
+                                                 mode=mode, iterations=t)
+            assert np.array_equal(pred.score_matrix, ref.score_matrix)
+            assert pred.predicted_class == ref.predicted_class
+            assert pred.candidate_ids == ref.candidate_ids
+            assert np.array_equal(protos.data, ref_protos.data)
+            assert protos.class_ids == ref_protos.class_ids
+        # the rounds really refine: consecutive prototypes differ
+        assert not np.array_equal(rounds[0][1].data, rounds[1][1].data)
 
     def test_zero_iterations_rejected(self, noisy_world):
         data, model = noisy_world

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dmap.consistency import (
-    build_relationship_matrix,
-    consistency_measure,
-    irc_gap,
-    preinspect,
-)
+from dmap.consistency import consistency_report, preinspect
 from dmap.core import class_mean_prototypes
 from dmap.errors import InfeasibleConfig, ValidationError
 from dmap.synth import (
@@ -29,15 +24,7 @@ def dataset_cm_and_gap(ds, lam):
     """Consistency measure and gap between the two relationship matrices."""
     X_all = np.concatenate([ds.train.features.data, ds.test_features.data], axis=1)
     labels = tuple(ds.train.labels) + tuple(ds.test_labels)
-    Xs = class_mean_prototypes(X_all, labels, ds.split.seen)
-    Xu = class_mean_prototypes(X_all, labels, ds.split.unseen)
-    R_x = build_relationship_matrix(Xs, Xu, lam)
-    R_k = build_relationship_matrix(
-        ds.embeddings.subset(ds.split.seen),
-        ds.embeddings.subset(ds.split.unseen),
-        lam,
-    )
-    return consistency_measure(Xs, R_x, R_k), irc_gap(Xs, R_x, R_k)
+    return consistency_report(X_all, labels, ds.split, ds.embeddings, lam)
 
 
 class TestPortableRng:

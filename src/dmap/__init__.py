@@ -24,7 +24,6 @@ _EXPORTS = {
     "PrototypeSet": "core",
     "class_mean_prototypes": "core",
     "build_label_matrix": "core",
-    "decode_label_matrix": "core",
     "l2_normalize_columns": "core",
     "center_columns": "core",
     # closed-form mapping

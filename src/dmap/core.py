@@ -309,13 +309,6 @@ def build_label_matrix(labels: Sequence, seen: Sequence) -> LabelMatrix:
     return LabelMatrix(Y)
 
 
-def decode_label_matrix(Y, seen: Sequence) -> tuple:
-    """Inverse of :func:`build_label_matrix`: argmax of each row."""
-    arr = as_array(Y)
-    seen = tuple(seen)
-    return tuple(seen[j] for j in np.argmax(arr, axis=1))
-
-
 def l2_normalize_columns(a: np.ndarray) -> np.ndarray:
     """Scale every column to unit Euclidean norm; zero columns pass through."""
     arr = np.array(as_array(a), copy=True)

@@ -108,6 +108,11 @@ def load_matrix(path) -> np.ndarray:
             raise ShapeMismatch(
                 f"row {i + 1} has {len(tokens)} values, expected {cols} (line {i + 2})"
             )
+        if "_" in line or not line.isascii():
+            # float() also reads digit separators and non-ASCII digits.
+            for j, tok in enumerate(tokens):
+                if "_" in tok or not tok.isascii():
+                    raise ParseError(f"bad float {tok!r}", line=i + 2, column=j + 1)
         for j, tok in enumerate(tokens):
             try:
                 v = float(tok)
@@ -261,10 +266,14 @@ def load_prediction(path) -> tuple[Prediction, str]:
     needed = {"mode", "instance_ids", "predicted", "candidates", "scores"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise ParseError(f"prediction file missing keys {sorted(needed)}: {path}")
+    try:
+        scores = np.asarray(obj["scores"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParseError(f"prediction scores are not a rectangular table of numbers: {path}") from None
     prediction = Prediction(
         instance_ids=tuple(obj["instance_ids"]),
         predicted_class=tuple(obj["predicted"]),
-        score_matrix=np.asarray(obj["scores"], dtype=np.float64),
+        score_matrix=scores,
         candidate_ids=tuple(obj["candidates"]),
     )
     return prediction, str(obj["mode"])
@@ -322,7 +331,14 @@ def load_model(directory) -> DmapModel:
     missing = {"config", "seen_class_ids", "train_iterations_run"} - set(meta)
     if missing:
         raise ParseError(f"{_MODEL_META} is missing keys {sorted(missing)}: {directory}")
-    config = DmapConfig(**run_config_fields(meta["config"]))
+    iterations = meta["train_iterations_run"]
+    if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 0:
+        raise ParseError(f"{_MODEL_META} has train_iterations_run {iterations!r}, "
+                         f"not a nonnegative integer: {directory}")
+    try:
+        config = DmapConfig(**run_config_fields(meta["config"]))
+    except ValidationError as e:
+        raise ParseError(f"{_MODEL_META} config: {e}: {directory}") from None
     f_s = load_matrix(directory / "f_s.dmx")
     f_tilde = load_matrix(directory / "f_tilde.dmx")
     k_tilde = load_matrix(directory / "k_tilde_s.dmx")
@@ -333,7 +349,7 @@ def load_model(directory) -> DmapModel:
         f_s=MapMatrix(f_s, config.gamma, config.eta),
         f_tilde=MapMatrix(f_tilde, config.gamma, config.eta),
         k_tilde_s=PrototypeSet(k_tilde, tuple(meta["seen_class_ids"]), source=KNN_AVERAGE),
-        train_iterations_run=int(meta["train_iterations_run"]),
+        train_iterations_run=iterations,
         config=config,
         feature_mean=mean,
     )

@@ -28,7 +28,8 @@ search among ``f~_s`` predictions.  Scoring always uses
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +61,10 @@ GZSR = "gzsr"
 #: that work well for CNN features with attribute/word-vector embeddings.
 DEFAULT_GAMMA = 10.0 ** 1.35
 DEFAULT_ETA = 10.0 ** 4.8
+
+
+#: Accepted value types by ``DmapConfig`` field annotation.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,12 @@ class DmapConfig:
     center: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, so it passes for int or float otherwise.
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ValidationError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.m < 1:
             raise ValidationError("m must be at least 1")
         if self.lam < 0 or self.gamma < 0 or self.eta < 0:
@@ -173,7 +184,8 @@ class Prediction:
             )
 
 
-def knn_prototype(class_anchor, predictions, features, m: int) -> np.ndarray:
+def knn_prototype(class_anchor, predictions, features, m: int, *,
+                  search=None) -> np.ndarray:
     """Average the features whose predictions are nearest a class anchor.
 
     Neighbours are found by Euclidean distance between ``class_anchor``
@@ -183,13 +195,40 @@ def knn_prototype(class_anchor, predictions, features, m: int) -> np.ndarray:
 
     Ties in distance are broken toward the lower instance index, and
     ``m`` larger than the instance count is clamped (with a warning).
+    ``search`` is this anchor's ``(keys, band half-width)`` from
+    :func:`_search_keys`; :func:`_refine_prototypes` passes it so that one
+    GEMM serves every anchor.  Without it the keys are computed here.
     """
     anchor = np.asarray(as_array(class_anchor), dtype=np.float64).reshape(-1)
-    P = as_array(predictions)
+    P, X, m = _search_inputs(anchor[:, None], predictions, features, m)
+    if search is None:
+        keys, widths = _search_keys(anchor[:, None], P)
+        search = keys[0], widths[0]
+    # Average in ascending index order so the result depends only on the
+    # selected *set* (float summation is order-sensitive); in particular
+    # m = n reproduces the plain column mean bit for bit.
+    return X[:, _nearest_columns(anchor, P, m, *search)].mean(axis=1)
+
+
+def _refine_prototypes(anchors, predictions, features, m: int) -> np.ndarray:
+    """One prototype per anchor column: :func:`knn_prototype` for each
+    anchor, with the keys of all anchors from one GEMM."""
+    A = np.asarray(as_array(anchors), dtype=np.float64)
+    P, X, m = _search_inputs(A, predictions, features, m)
+    keys, widths = _search_keys(A, P)
+    return np.stack([knn_prototype(a, P, X, m, search=(key, width))
+                     for a, key, width in zip(A.T, keys, widths)], axis=1)
+
+
+def _search_inputs(A: np.ndarray, predictions, features, m: int):
+    """Checked ``(P, X, m)`` for a search of ``predictions`` around the
+    columns of ``A``: ``P`` row-major, as the reference distance sums run
+    row by row, and ``m`` clamped to the instance count."""
+    P = np.ascontiguousarray(as_array(predictions))
     X = as_array(features)
-    if P.shape[0] != anchor.shape[0]:
+    if P.shape[0] != A.shape[0]:
         raise DimensionMismatch(
-            f"anchor has dim {anchor.shape[0]} but predictions have dim {P.shape[0]}"
+            f"anchor has dim {A.shape[0]} but predictions have dim {P.shape[0]}"
         )
     if P.shape[1] != X.shape[1]:
         raise DimensionMismatch(
@@ -198,27 +237,67 @@ def knn_prototype(class_anchor, predictions, features, m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError("m must be at least 1")
     n = P.shape[1]
+    if n == 0:
+        raise ValidationError("no instances to search")
     if m > n:
         logger.warning("m=%d exceeds the %d available instances; clamping", m, n)
         m = n
-    diff = P - anchor[:, None]
-    sq_dist = np.sum(diff * diff, axis=0)
-    # Stable argsort on the distances == sort by (distance, index).
-    nearest = np.argsort(sq_dist, kind="stable")[:m]
-    # Average in ascending index order so the result depends only on the
-    # selected *set* (float summation is order-sensitive); in particular
-    # m = n reproduces the plain column mean bit for bit.
-    return X[:, np.sort(nearest)].mean(axis=1)
+    return P, X, m
 
 
-def _refine_prototypes(anchors: np.ndarray, predictions: np.ndarray,
-                       features: np.ndarray, m: int) -> np.ndarray:
-    """One prototype per anchor column; see :func:`knn_prototype`."""
-    cols = [
-        knn_prototype(anchors[:, i], predictions, features, m)
-        for i in range(anchors.shape[1])
-    ]
-    return np.stack(cols, axis=1)
+def _search_keys(A: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ``|p|^2 - 2 a.p`` of every (column of ``A``, column of ``P``)
+    pair from one GEMM, one row per anchor, and each row's band
+    half-width from :func:`_key_error_bound`."""
+    p_sq = np.einsum("ij,ij->j", P, P)
+    keys = A.T @ P
+    keys *= -2.0
+    keys += p_sq
+    return keys, _key_error_bound(A, p_sq)
+
+
+def _nearest_columns(a: np.ndarray, P: np.ndarray, m: int, key: np.ndarray,
+                     width: float) -> np.ndarray:
+    """Ascending indices of the ``m`` columns of ``P`` nearest ``a``
+    (``1 <= m <= n``), ties going to the lower index.
+
+    The selection equals a stable argsort of ``np.sum(diff * diff,
+    axis=0)``, ``diff = P - a``, without forming ``diff``: columns whose
+    key lies more than ``width`` below the m-th key are selected, those
+    more than it above are not, and only the columns in that band get
+    their distances recomputed with the formula above.
+    """
+    mth = np.partition(key, m - 1)[m - 1]
+    below = key < mth - width
+    first = np.flatnonzero(below)
+    # Negated comparisons put a NaN key in the band, and the whole row
+    # when the width is NaN or infinite.
+    edge = np.flatnonzero(~below & ~(key > mth + width))
+    need = m - first.size
+    # need >= 1, so a recomputed band has two or more columns and its
+    # sums run row by row as in the reference (one column would be
+    # summed pairwise, to other bits).
+    if need < edge.size:
+        diff = P.take(edge, axis=1) - a[:, None]
+        edge = edge[np.argsort(np.sum(diff * diff, axis=0), kind="stable")[:need]]
+    return np.sort(np.concatenate([first, edge]))
+
+
+def _key_error_bound(A: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
+    """Band half-width per anchor around the m-th key.
+
+    The GEMM key and the reference distance minus ``|a|^2`` each differ
+    from the exact value by at most about ``(dim + 2) * eps * (|a|^2 +
+    |p|^2)``, whatever the summation order.  A column whose key lies more
+    than twice their sum below the m-th key is then among the m nearest
+    in the reference order too, and one that lies as far above it is
+    not.  The factor 8 leaves room for the rounding of the threshold
+    itself, ``tiny`` for gradual underflow.  Non-finite inputs give a
+    non-finite width, so the whole row is recomputed.
+    """
+    finfo = np.finfo(np.float64)
+    scale = np.einsum("ij,ij->j", A, A) + p_sq.max()
+    return 8.0 * (A.shape[0] + 4) * (finfo.eps * scale + finfo.tiny)
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -310,6 +310,24 @@ class TestPredictOverrides:
         assert ((tmp_path / "file_ktilde_u.dmx").read_bytes()
                 == (tmp_path / "flag_ktilde_u.dmx").read_bytes())
 
+    @pytest.mark.parametrize("key,value", [
+        ("train_iterations_run", "x"), ("train_iterations_run", 1.5),
+        ("train_iterations_run", -1), ("train_iterations_run", True),
+        ("config", {"m": "10"}), ("config", {"m": 0}), ("config", {"depth": 3}),
+        ("config", "m=10"),
+    ])
+    def test_model_json_bad_value_exits_4(self, plain_model, exact_data_dir,
+                                          tmp_path, capsys, key, value):
+        broken = tmp_path / "model"
+        broken.mkdir()
+        for path in plain_model.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        meta = json.loads((broken / "model.json").read_text())
+        meta[key] = value
+        (broken / "model.json").write_text(json.dumps(meta))
+        assert main(predict_argv(broken, exact_data_dir, tmp_path / "pred.json")) == 4
+        assert one_json_error(capsys) == "ParseError"
+
     @pytest.mark.parametrize("key", ["config", "seen_class_ids", "train_iterations_run"])
     def test_model_json_missing_a_key_exits_4(self, plain_model, exact_data_dir,
                                               tmp_path, capsys, key):
@@ -352,6 +370,26 @@ def test_embedding_columns_disagreeing_with_split_exit_4(command, exact_data_dir
     assert one_json_error(capsys) == "ShapeMismatch"
 
 
+@pytest.mark.parametrize("file_config", [
+    {"m": "5"}, {"m": 5.0}, {"m": True}, {"gamma": "1"}, {"test_max_iter": None},
+    {"normalize": "yes"}, {"center": 1},
+])
+def test_run_config_value_of_wrong_type_exits_2(exact_data_dir, tmp_path, capsys,
+                                                file_config):
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps(file_config))
+    assert main([
+        "train",
+        "--features", str(exact_data_dir / "train_features.dmx"),
+        "--labels", str(exact_data_dir / "train_labels.json"),
+        "--split", str(exact_data_dir / "split.json"),
+        "--embeddings", str(exact_data_dir / "embeddings.dmx"),
+        "--config", str(run_cfg), "--model-dir", str(tmp_path / "model"),
+    ]) == 2
+    assert one_json_error(capsys) == "ValidationError"
+    assert not (tmp_path / "model").exists()
+
+
 class TestEvalCommand:
     def test_hand_written_prediction(self, tmp_path):
         scores = np.array([[3.0, 0.0, 2.0], [1.0, 2.0, 1.0]])
@@ -376,6 +414,18 @@ class TestEvalCommand:
         assert (tmp_path / "eval_confusion.csv").read_text() == (
             "true,a,b\na,1,0\nb,1,1\n"
         )
+
+    def test_ragged_scores_exit_4(self, tmp_path, capsys):
+        pred = Prediction(("x0", "x1"), ("a", "b"), np.eye(2), ("a", "b"))
+        obj = dio.prediction_to_dict(pred, "czsr")
+        obj["scores"][1].pop()
+        (tmp_path / "pred.json").write_text(json.dumps(obj))
+        (tmp_path / "truth.json").write_text(json.dumps(["a", "b"]))
+        code = main(["eval", "--pred", str(tmp_path / "pred.json"),
+                     "--truth", str(tmp_path / "truth.json"),
+                     "--out", str(tmp_path / "eval.json")])
+        assert code == 4
+        assert one_json_error(capsys) == "ParseError"
 
     def test_truth_count_mismatch_exits_2(self, tmp_path, capsys):
         pred = Prediction(("x0",), ("a",), np.array([[1.0]]), ("a",))

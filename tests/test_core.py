@@ -13,10 +13,10 @@ from dmap.core import (
     LabeledDataset,
     LabelMatrix,
     PrototypeSet,
+    as_array,
     build_label_matrix,
     center_columns,
     class_mean_prototypes,
-    decode_label_matrix,
     l2_normalize_columns,
 )
 from dmap.errors import (
@@ -25,6 +25,12 @@ from dmap.errors import (
     UnknownLabel,
     ValidationError,
 )
+
+
+def decode_label_matrix(Y, seen) -> tuple:
+    """Inverse of :func:`build_label_matrix`: argmax of each row."""
+    seen = tuple(seen)
+    return tuple(seen[j] for j in np.argmax(as_array(Y), axis=1))
 
 
 def make_split(k=2, l=2):

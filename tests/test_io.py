@@ -157,6 +157,16 @@ class TestMatrixFormat:
         assert exc.value.line == 3
         assert exc.value.column == 2
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_python_only_float_syntax_rejected_with_location(self, tmp_path, token):
+        # float() reads "1_0" as 10.0 and Arabic-Indic digits as decimals.
+        path = tmp_path / "m.dmx"
+        path.write_text(f"dmap-matrix 1 2 2\n1.0 2.0\n3.0 {token}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert exc.value.line == 3
+        assert exc.value.column == 2
+
     def test_non_finite_token_rejected_with_location(self, tmp_path):
         path = tmp_path / "m.dmx"
         path.write_text("dmap-matrix 1 1 2\ninf 1.0\n")

@@ -26,6 +26,7 @@ from dmap.model import (
     CZSR,
     GZSR,
     DmapConfig,
+    _refine_prototypes,
     knn_prototype,
     infer_inductive,
     infer_transductive,
@@ -33,6 +34,14 @@ from dmap.model import (
     transductive_rounds,
 )
 from dmap.synth import defect_setup, exact_recovery_setup, generate, noisy_setup
+
+
+def stable_argsort_prototype(anchor, predictions, features, m):
+    """The per-class reference formula: a stable argsort of the column sums
+    of squared differences, averaging the selected columns in index order."""
+    diff = predictions - anchor[:, None]
+    nearest = np.argsort(np.sum(diff * diff, axis=0), kind="stable")[:m]
+    return features[:, np.sort(nearest)].mean(axis=1)
 
 
 def knn_oracle_indices(anchor, predictions, m):
@@ -113,6 +122,12 @@ class TestKnnPrototype:
             proto = knn_prototype(np.zeros(3), predictions, features, m=9)
         assert any("clamp" in rec.message for rec in caplog.records)
         assert np.allclose(proto, features.mean(axis=1))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dmap.model"):
+            protos = _refine_prototypes(rng.normal(size=(3, 5)), predictions, features, m=9)
+        assert [rec.message for rec in caplog.records if "clamp" in rec.message] == [
+            "m=9 exceeds the 4 available instances; clamping"]
+        assert np.array_equal(protos, np.repeat(proto[:, None], 5, axis=1))
 
     def test_distance_tie_prefers_lower_index(self):
         # anchor 1.0 is equidistant from predictions 0.0 and 2.0
@@ -148,6 +163,10 @@ class TestKnnPrototype:
     def test_m_below_one_rejected(self):
         with pytest.raises(ValidationError):
             knn_prototype(np.zeros(2), np.zeros((2, 4)), np.zeros((5, 4)), m=0)
+
+    def test_no_instances_rejected(self):
+        with pytest.raises(ValidationError, match="no instances"):
+            knn_prototype(np.zeros(2), np.zeros((2, 0)), np.zeros((5, 0)), m=1)
 
 
 class TestTrain:
@@ -517,3 +536,48 @@ def test_knn_prototype_oracle_property(seed):
         knn_prototype(anchor, predictions, features, m),
         features[:, idx].mean(axis=1),
     )
+
+
+def _knn_case(kind: str, seed: int):
+    """Anchors (dim x c), predictions (dim x n) and features (d x n)."""
+    rng = np.random.default_rng(seed)
+    c = 1 if kind == "single" else int(rng.integers(1, 6))
+    n = int(rng.integers(1, 40))
+    d = int(rng.integers(1, 5))
+    if kind in ("grid", "single"):
+        dim, span = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        predictions = rng.integers(-span, span + 1, size=(dim, n)).astype(np.float64)
+        anchors = rng.integers(-span, span + 1, size=(dim, c)).astype(np.float64)
+    elif kind == "duplicates":
+        dim = int(rng.integers(1, 300))
+        predictions = rng.normal(size=(dim, n))
+        src, dst = rng.integers(0, n, size=(2, n // 2 + 1))
+        predictions[:, dst] = predictions[:, src]
+        # Some columns within rounding of a duplicate: near-ties.
+        near = rng.integers(0, n, size=n // 4)
+        predictions[:, near] += 1e-15 * rng.normal(size=(dim, near.size))
+        anchors = predictions[:, rng.integers(0, n, size=c)] + rng.normal(size=(dim, c))
+        anchors[:, 0] = predictions[:, 0]
+    else:  # "width-one": well separated distances, so the band is one column
+        dim = int(rng.choice([1, 2, 8, 9, 768]))
+        anchors = rng.normal(size=(dim, c))
+        offsets = rng.permutation(n) + 1.0
+        direction = rng.normal(size=(dim, 1))
+        predictions = anchors[:, :1] + direction / np.linalg.norm(direction) * offsets
+    features = rng.normal(size=(d, n))
+    return anchors, predictions, features
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["grid", "duplicates", "width-one", "single"]),
+       st.sampled_from(["below", "equal", "beyond"]),
+       st.integers(0, 10_000))
+def test_batched_refinement_matches_stable_argsort_oracle(kind, m_case, seed):
+    anchors, predictions, features = _knn_case(kind, seed)
+    n = predictions.shape[1]
+    m = {"below": 1 + seed % n, "equal": n, "beyond": n + 1 + seed % 3}[m_case]
+    got = _refine_prototypes(anchors, predictions, features, m)
+    for c in range(anchors.shape[1]):
+        expected = stable_argsort_prototype(anchors[:, c], predictions, features, m)
+        assert np.array_equal(got[:, c], expected)
+    assert np.array_equal(knn_prototype(anchors[:, 0], predictions, features, m), got[:, 0])

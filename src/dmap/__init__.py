@@ -36,7 +36,6 @@ _EXPORTS = {
     "RelationshipMatrix": "consistency",
     "ProjectionDecomposition": "consistency",
     "DefectReport": "consistency",
-    "extract_relationship": "consistency",
     "build_relationship_matrix": "consistency",
     "consistency_measure": "consistency",
     "irc_gap": "consistency",

@@ -110,26 +110,12 @@ def _cmd_cm(args) -> int:
     return 0
 
 
-def _dataset_from_files(features_path, labels_path, split_path, embeddings_path):
-    from . import io as dio
-    from .core import FeatureMatrix, LabeledDataset
-
-    X = dio.load_matrix(features_path)
-    labels = dio.load_labels(labels_path)
-    split = dio.load_split(split_path)
-    embeddings = dio.load_embeddings(embeddings_path, split)
-    features = FeatureMatrix(X, tuple(f"tr{i:06d}" for i in range(X.shape[1])))
-    return LabeledDataset(features=features, labels=labels, split=split,
-                          semantic=embeddings)
-
-
 def _cmd_train(args) -> int:
     from . import io as dio
     from .model import train
 
     config = _load_effective_config(args)
-    dataset = _dataset_from_files(args.features, args.labels, args.split,
-                                  args.embeddings)
+    dataset = dio.load_training_set(args.features, args.labels, args.split, args.embeddings)
     model = train(dataset, config)
     dio.save_model(model, args.model_dir)
     print(f"trained: {model.train_iterations_run} refinement iteration(s), "
@@ -194,6 +180,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from dataclasses import MISSING, fields
+
     from . import io as dio
     from .errors import ValidationError
     from .synth import SynthConfig, generate
@@ -201,11 +189,12 @@ def _cmd_synth(args) -> int:
     obj = dio._load_json(args.config)
     if not isinstance(obj, dict):
         raise ValidationError("synth config must be a JSON object")
-    allowed = {"d", "p", "k", "l", "n_per_class", "noise_sigma",
-               "irc_distortion", "defect_pairs", "seed"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - {f.name for f in fields(SynthConfig)}
     if unknown:
         raise ValidationError(f"unknown synth-config keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(SynthConfig) if f.default is MISSING} - set(obj)
+    if missing:
+        raise ValidationError(f"missing synth-config keys: {sorted(missing)}")
     dataset = generate(SynthConfig(**obj))
     dio.save_dataset(dataset, args.out_dir)
     print(f"dataset written to {args.out_dir}")

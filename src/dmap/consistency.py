@@ -86,22 +86,19 @@ class DefectReport:
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
-def extract_relationship(seen_prototypes, target, lam: float) -> np.ndarray:
-    """Ridge coefficients of one target vector over the seen prototypes.
+def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) -> RelationshipMatrix:
+    """Column ``i`` solves ``argmin_a ||u_i - P a||^2 + lam ||a||^2`` for the
+    seen prototypes ``P`` (``dim x k``): ``a = (P^T P + lam I)^-1 P^T u_i``,
+    with one factorisation of ``P^T P + lam I`` for all columns.
 
-    Solves ``argmin_a ||target - P a||^2 + lam ||a||^2`` for the
-    prototype matrix ``P`` (``dim x k``), i.e.
-    ``a = (P^T P + lam I)^-1 P^T target``.
-
-    Raises
-    ------
-    SingularSystem
-        When ``lam = 0`` and ``P^T P`` is singular.
+    Raises ``SingularSystem`` when ``lam = 0`` and ``P^T P`` is singular.
     """
     P = as_array(seen_prototypes)
-    t = np.asarray(as_array(target), dtype=np.float64).reshape(-1)
-    if P.shape[0] != t.shape[0]:
-        raise DimensionMismatch(f"prototypes have dim {P.shape[0]}, target has dim {t.shape[0]}")
+    U = as_array(unseen_prototypes)
+    if P.shape[0] != U.shape[0]:
+        raise DimensionMismatch(
+            f"seen prototypes have dim {P.shape[0]}, unseen have dim {U.shape[0]}"
+        )
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
     gram = P.T @ P + lam * np.eye(P.shape[1])
@@ -111,19 +108,22 @@ def extract_relationship(seen_prototypes, target, lam: float) -> np.ndarray:
         raise SingularSystem(
             f"seen-prototype Gram is singular with lambda={lam}: {exc}"
         ) from exc
-    return scipy.linalg.cho_solve(cho, P.T @ t)
+    # One matrix-vector product per column: the GEMM P.T @ U rounds differently.
+    rhs = np.matmul(P.T, U.T[:, :, None])[:, :, 0].T
+    return RelationshipMatrix(scipy.linalg.cho_solve(cho, rhs), lam)
 
 
-def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) -> RelationshipMatrix:
-    """Stack :func:`extract_relationship` over every unseen prototype column."""
+def _relationship_images(seen_prototypes, R_x, R_k) -> tuple[np.ndarray, np.ndarray]:
+    """``(X~_s R_x, X~_s R_k)`` after checking that the shapes agree."""
     P = as_array(seen_prototypes)
-    U = as_array(unseen_prototypes)
-    if P.shape[0] != U.shape[0]:
+    Rx, Rk = as_array(R_x), as_array(R_k)
+    if Rx.shape != Rk.shape:
+        raise DimensionMismatch(f"relationship shapes differ: {Rx.shape} vs {Rk.shape}")
+    if P.shape[1] != Rx.shape[0]:
         raise DimensionMismatch(
-            f"seen prototypes have dim {P.shape[0]}, unseen have dim {U.shape[0]}"
+            f"{P.shape[1]} seen prototypes but relationship matrices have {Rx.shape[0]} rows"
         )
-    cols = [extract_relationship(P, U[:, i], lam) for i in range(U.shape[1])]
-    return RelationshipMatrix(np.stack(cols, axis=1), lam)
+    return P @ Rx, P @ Rk
 
 
 def consistency_measure(seen_prototypes, R_x: RelationshipMatrix, R_k: RelationshipMatrix) -> float:
@@ -139,18 +139,9 @@ def consistency_measure(seen_prototypes, R_x: RelationshipMatrix, R_k: Relations
     degenerate gives a term of 1 (identical degenerate images), exactly
     one degenerate gives 0 (maximal inconsistency); both cases are logged.
     """
-    P = as_array(seen_prototypes)
-    Rx, Rk = as_array(R_x), as_array(R_k)
-    if Rx.shape != Rk.shape:
-        raise DimensionMismatch(f"relationship shapes differ: {Rx.shape} vs {Rk.shape}")
-    if P.shape[1] != Rx.shape[0]:
-        raise DimensionMismatch(
-            f"{P.shape[1]} seen prototypes but relationship matrices have {Rx.shape[0]} rows"
-        )
-    img_x = P @ Rx
-    img_k = P @ Rk
-    terms = np.empty(Rx.shape[1])
-    for i in range(Rx.shape[1]):
+    img_x, img_k = _relationship_images(seen_prototypes, R_x, R_k)
+    terms = np.empty(img_x.shape[1])
+    for i in range(img_x.shape[1]):
         na = np.linalg.norm(img_x[:, i])
         nb = np.linalg.norm(img_k[:, i])
         if na < DEGENERATE_NORM and nb < DEGENERATE_NORM:
@@ -170,12 +161,9 @@ def irc_gap(seen_prototypes, R_x: RelationshipMatrix, R_k: RelationshipMatrix) -
     Zero exactly when the inter-class relationships agree; the
     denominator is floored at the smallest positive normal double.
     """
-    P = as_array(seen_prototypes)
-    Rx, Rk = as_array(R_x), as_array(R_k)
-    if Rx.shape != Rk.shape:
-        raise DimensionMismatch(f"relationship shapes differ: {Rx.shape} vs {Rk.shape}")
-    ref = np.linalg.norm(P @ Rk)
-    return float(np.linalg.norm(P @ Rx - P @ Rk) / max(ref, np.finfo(np.float64).tiny))
+    img_x, img_k = _relationship_images(seen_prototypes, R_x, R_k)
+    ref = np.linalg.norm(img_k)
+    return float(np.linalg.norm(img_x - img_k) / max(ref, np.finfo(np.float64).tiny))
 
 
 def consistency_report(features, labels, split, embeddings, lam: float) -> tuple[float, float]:

@@ -15,7 +15,8 @@ read-only), so values can be shared freely across threads.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what} contains non-finite entries (NaN or Inf)")
+
+
+#: Accepted value types by dataclass field annotation.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise ``ValidationError`` unless every field of the dataclass ``config``
+    holds a value of its annotated type; ``bool`` (an ``int``) counts only as ``bool``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if (not isinstance(value, _FIELD_TYPES[f.type])
+                or (isinstance(value, bool) and f.type != "bool")):
+            raise ValidationError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 def as_array(x) -> np.ndarray:

@@ -146,11 +146,22 @@ def save_split(split: ClassSplit, path) -> None:
     _dump_json({"seen": list(split.seen), "unseen": list(split.unseen)}, path)
 
 
+def _ids(obj, what: str, path) -> tuple:
+    """A JSON array of class ids (strings or integers) as a tuple."""
+    if not isinstance(obj, list):
+        raise ParseError(f"{what} must be a JSON array: {path}")
+    for i, item in enumerate(obj):
+        if isinstance(item, bool) or not isinstance(item, (str, int)):
+            raise ParseError(f"{what} entry {i} is {item!r}, not a string or an integer: {path}")
+    return tuple(obj)
+
+
 def load_split(path) -> ClassSplit:
     obj = _load_json(path)
     if not isinstance(obj, dict) or set(obj) != {"seen", "unseen"}:
         raise ParseError(f"split file must be an object with keys seen/unseen: {path}")
-    return ClassSplit(seen=tuple(obj["seen"]), unseen=tuple(obj["unseen"]))
+    return ClassSplit(seen=_ids(obj["seen"], "split seen", path),
+                      unseen=_ids(obj["unseen"], "split unseen", path))
 
 
 def save_labels(labels: Sequence, path) -> None:
@@ -158,10 +169,7 @@ def save_labels(labels: Sequence, path) -> None:
 
 
 def load_labels(path) -> tuple:
-    obj = _load_json(path)
-    if not isinstance(obj, list):
-        raise ParseError(f"labels file must be a JSON array: {path}")
-    return tuple(obj)
+    return _ids(_load_json(path), "labels file", path)
 
 
 # --- run configuration ----------------------------------------------------
@@ -170,12 +178,10 @@ def load_labels(path) -> tuple:
 _CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(DmapConfig)}
 
 
-def run_config_to_dict(config: DmapConfig, epsilon: float | None = None,
-                       seed: int = 0) -> dict:
-    out = {key: getattr(config, attr) for key, attr in _CONFIG_KEYS.items()}
-    out["epsilon"] = epsilon
-    out["seed"] = seed
-    return out
+def run_config_to_dict(config: DmapConfig) -> dict:
+    """The run config of ``model.json``, with run-config ``epsilon`` and ``seed`` unset."""
+    return {**{key: getattr(config, attr) for key, attr in _CONFIG_KEYS.items()},
+            "epsilon": None, "seed": 0}
 
 
 def run_config_fields(obj: Mapping) -> dict:
@@ -188,21 +194,6 @@ def run_config_fields(obj: Mapping) -> dict:
     if unknown:
         raise ValidationError(f"unknown run-config keys: {sorted(unknown)}")
     return {attr: obj[key] for key, attr in _CONFIG_KEYS.items() if key in obj}
-
-
-def run_config_from_dict(obj: Mapping) -> tuple[DmapConfig, float | None, int]:
-    """Parse a run-config mapping into ``(DmapConfig, epsilon, seed)``;
-    the two extra keys cover pre-inspection and dataset seeding."""
-    config = DmapConfig(**run_config_fields(obj))
-    epsilon = obj.get("epsilon")
-    if epsilon is not None:
-        epsilon = float(epsilon)
-    seed = int(obj.get("seed", 0))
-    return config, epsilon, seed
-
-
-def load_run_config(path) -> tuple[DmapConfig, float | None, int]:
-    return run_config_from_dict(_load_json(path))
 
 
 # --- reports ---------------------------------------------------------------
@@ -339,16 +330,26 @@ def load_model(directory) -> DmapModel:
         config = DmapConfig(**run_config_fields(meta["config"]))
     except ValidationError as e:
         raise ParseError(f"{_MODEL_META} config: {e}: {directory}") from None
+    seen_ids = _ids(meta["seen_class_ids"], "seen_class_ids", directory / _MODEL_META)
     f_s = load_matrix(directory / "f_s.dmx")
     f_tilde = load_matrix(directory / "f_tilde.dmx")
     k_tilde = load_matrix(directory / "k_tilde_s.dmx")
     mean = None
     if meta.get("has_feature_mean"):
         mean = load_matrix(directory / "feature_mean.dmx").reshape(-1)
+    d = f_s.shape[0]
+    for name, size, expected, source in (
+        ("f_tilde.dmx rows", f_tilde.shape[0], d, "f_s.dmx rows"),
+        ("feature_mean.dmx entries", d if mean is None else mean.size, d, "f_s.dmx rows"),
+        ("k_tilde_s.dmx rows", k_tilde.shape[0], f_tilde.shape[1], "f_tilde.dmx columns"),
+        ("k_tilde_s.dmx columns", k_tilde.shape[1], len(seen_ids), "seen_class_ids"),
+    ):
+        if size != expected:
+            raise ShapeMismatch(f"{name}: {size}, but {source}: {expected}: {directory}")
     return DmapModel(
         f_s=MapMatrix(f_s, config.gamma, config.eta),
         f_tilde=MapMatrix(f_tilde, config.gamma, config.eta),
-        k_tilde_s=PrototypeSet(k_tilde, tuple(meta["seen_class_ids"]), source=KNN_AVERAGE),
+        k_tilde_s=PrototypeSet(k_tilde, seen_ids, source=KNN_AVERAGE),
         train_iterations_run=iterations,
         config=config,
         feature_mean=mean,
@@ -388,20 +389,21 @@ def load_embeddings(path, split: ClassSplit) -> EmbeddingMatrix:
     return EmbeddingMatrix(emb, class_ids)
 
 
+def load_training_set(features_path, labels_path, split_path, embeddings_path) -> LabeledDataset:
+    """Read the training side: seen-class features and labels, split, embeddings."""
+    split = load_split(split_path)
+    embeddings = load_embeddings(embeddings_path, split)
+    X = load_matrix(features_path)
+    features = FeatureMatrix(X, tuple(f"tr{i:06d}" for i in range(X.shape[1])))
+    return LabeledDataset(features=features, labels=load_labels(labels_path), split=split,
+                          semantic=embeddings)
+
+
 def load_dataset(directory) -> tuple[LabeledDataset, FeatureMatrix, tuple, EmbeddingMatrix]:
     """Read a dataset directory back; inverse of :func:`save_dataset`."""
     directory = Path(directory)
-    split = load_split(directory / "split.json")
-    embeddings = load_embeddings(directory / "embeddings.dmx", split)
-    train_X = load_matrix(directory / "train_features.dmx")
-    train_labels = load_labels(directory / "train_labels.json")
+    train = load_training_set(directory / "train_features.dmx", directory / "train_labels.json",
+                              directory / "split.json", directory / "embeddings.dmx")
     test_X = load_matrix(directory / "test_features.dmx")
-    test_labels = load_labels(directory / "test_labels.json")
-    train = LabeledDataset(
-        features=FeatureMatrix(train_X, tuple(f"tr{i:06d}" for i in range(train_X.shape[1]))),
-        labels=train_labels,
-        split=split,
-        semantic=embeddings,
-    )
     test = FeatureMatrix(test_X, tuple(f"te{i:06d}" for i in range(test_X.shape[1])))
-    return train, test, test_labels, embeddings
+    return train, test, load_labels(directory / "test_labels.json"), train.semantic

@@ -28,8 +28,7 @@ search among ``f~_s`` predictions.  Scoring always uses
 from __future__ import annotations
 
 import logging
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .core import (
     as_array,
     build_label_matrix,
     center_columns,
+    check_field_types,
     default_instance_ids,
     l2_normalize_columns,
 )
@@ -61,10 +61,6 @@ GZSR = "gzsr"
 #: that work well for CNN features with attribute/word-vector embeddings.
 DEFAULT_GAMMA = 10.0 ** 1.35
 DEFAULT_ETA = 10.0 ** 4.8
-
-
-#: Accepted value types by ``DmapConfig`` field annotation.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -110,12 +106,7 @@ class DmapConfig:
     center: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass, so it passes for int or float otherwise.
-            if (not isinstance(value, _FIELD_TYPES[f.type])
-                    or (isinstance(value, bool) and f.type != "bool")):
-                raise ValidationError(f"{f.name} must be of type {f.type}, got {value!r}")
+        check_field_types(self)
         if self.m < 1:
             raise ValidationError("m must be at least 1")
         if self.lam < 0 or self.gamma < 0 or self.eta < 0:

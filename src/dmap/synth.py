@@ -46,6 +46,7 @@ from .core import (
     EmbeddingMatrix,
     FeatureMatrix,
     LabeledDataset,
+    check_field_types,
 )
 from .errors import InfeasibleConfig, ValidationError
 from .model import DmapConfig
@@ -108,6 +109,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("d", "p", "k", "l", "n_per_class"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1")

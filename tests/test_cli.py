@@ -10,7 +10,7 @@ import pytest
 
 from dmap import io as dio
 from dmap.cli import main
-from dmap.errors import ParseError
+from dmap.errors import ParseError, ShapeMismatch
 from dmap.model import Prediction
 
 EXACT_SYNTH = {
@@ -61,6 +61,22 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
         assert "sigma" in err["message"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"d": "30"}, {"d": 30.5}, {"n_per_class": True}, {"noise_sigma": "0"}, {"seed": None},
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_synth_config(tmp_path, **overrides)
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert one_json_error(capsys) == "ValidationError"
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({key: v for key, v in EXACT_SYNTH.items() if key != "p"}))
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError" and "'p'" in err["message"]
 
     def test_infeasible_geometry_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "synth.json"
@@ -314,7 +330,7 @@ class TestPredictOverrides:
         ("train_iterations_run", "x"), ("train_iterations_run", 1.5),
         ("train_iterations_run", -1), ("train_iterations_run", True),
         ("config", {"m": "10"}), ("config", {"m": 0}), ("config", {"depth": 3}),
-        ("config", "m=10"),
+        ("config", "m=10"), ("seen_class_ids", "c0"), ("seen_class_ids", [None]),
     ])
     def test_model_json_bad_value_exits_4(self, plain_model, exact_data_dir,
                                           tmp_path, capsys, key, value):
@@ -343,6 +359,24 @@ class TestPredictOverrides:
         assert main(predict_argv(broken, exact_data_dir, tmp_path / "pred.json")) == 4
         assert one_json_error(capsys) == "ParseError"
 
+    @pytest.mark.parametrize("name, cut", [
+        ("f_tilde.dmx", np.s_[:-1, :]),      # rows differ from f_s
+        ("feature_mean.dmx", np.s_[:-1, :]),  # length differs from f_s rows
+        ("f_tilde.dmx", np.s_[:, :-1]),      # columns differ from k_tilde_s rows
+        ("k_tilde_s.dmx", np.s_[:, :-1]),    # columns differ from seen_class_ids
+    ])
+    def test_model_matrices_of_disagreeing_shape_exit_4(self, centred_model, exact_data_dir,
+                                                        tmp_path, capsys, name, cut):
+        broken = tmp_path / "model"
+        broken.mkdir()
+        for path in centred_model.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        dio.save_matrix(dio.load_matrix(broken / name)[cut], broken / name)
+        with pytest.raises(ShapeMismatch, match=name):
+            dio.load_model(broken)
+        assert main(predict_argv(broken, exact_data_dir, tmp_path / "pred.json")) == 4
+        assert one_json_error(capsys) == "ShapeMismatch"
+
 
 @pytest.mark.parametrize("command", ["cm", "train", "predict", "pipeline"])
 def test_embedding_columns_disagreeing_with_split_exit_4(command, exact_data_dir,
@@ -368,6 +402,32 @@ def test_embedding_columns_disagreeing_with_split_exit_4(command, exact_data_dir
     }[command]
     assert main(argv) == 4
     assert one_json_error(capsys) == "ShapeMismatch"
+
+
+@pytest.mark.parametrize("name, entry", [
+    ("train_labels.json", ["c0"]), ("train_labels.json", {"id": 0}),
+    ("train_labels.json", True), ("train_labels.json", 1.5),
+    ("split.json", ["c0"]), ("split.json", {"id": 0}), ("split.json", None),
+])
+def test_class_id_entry_of_wrong_type_exits_4(name, entry, exact_data_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in exact_data_dir.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    obj = json.loads((data / name).read_text())
+    (obj["unseen"] if name == "split.json" else obj)[3] = entry
+    (data / name).write_text(json.dumps(obj))
+    assert main(["train",
+                 "--features", str(data / "train_features.dmx"),
+                 "--labels", str(data / "train_labels.json"),
+                 "--split", str(data / "split.json"),
+                 "--embeddings", str(data / "embeddings.dmx"),
+                 "--model-dir", str(tmp_path / "model")]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParseError"
+    assert name in err["message"] and "entry 3" in err["message"]
 
 
 @pytest.mark.parametrize("file_config", [

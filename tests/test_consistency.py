@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,13 +13,12 @@ from dmap.consistency import (
     build_relationship_matrix,
     consistency_measure,
     consistency_report,
-    extract_relationship,
     irc_gap,
     preinspect,
     project_onto_seen_span,
 )
 from dmap.core import PrototypeSet, class_mean_prototypes
-from dmap.errors import SingularSystem
+from dmap.errors import DimensionMismatch, SingularSystem, ValidationError
 from dmap.linmap import predict_semantic, solve_ridge_map
 from dmap.model import train
 from dmap.synth import PortableRng, defect_setup, exact_recovery_setup, generate
@@ -50,29 +50,43 @@ def protos(cols, ids=None):
     return PrototypeSet(cols, ids)
 
 
+def percolumn_relationship(P, u, lam):
+    """Ridge coefficients of one target, with its own Gram and factor."""
+    cho = scipy.linalg.cho_factor(P.T @ P + lam * np.eye(P.shape[1]), lower=True)
+    return scipy.linalg.cho_solve(cho, P.T @ u)
+
+
+def extract(P, t, lam):
+    """The relationship of one target: a one-column relationship matrix."""
+    t = np.asarray(t, dtype=np.float64)
+    R = build_relationship_matrix(protos(P), protos(t.reshape(-1, 1), ("u",)), lam)
+    assert R.data.shape == (np.shape(P)[1], 1)
+    return R.data[:, 0]
+
+
 class TestExtractRelationship:
     def test_orthonormal_prototypes_hand_value(self):
         A = np.eye(4)[:, :3]  # e1, e2, e3 in R^4
-        alpha = extract_relationship(protos(A), A[:, 0], 1e-4)
+        alpha = extract(A, A[:, 0], 1e-4)
         expect = np.array([1.0 / (1.0 + 1e-4), 0.0, 0.0])
         np.testing.assert_allclose(alpha, expect, rtol=1e-12)
 
     def test_zero_target_gives_zero(self):
         A = np.eye(3)
-        alpha = extract_relationship(protos(A), np.zeros(3), 0.5)
+        alpha = extract(A, np.zeros(3), 0.5)
         np.testing.assert_array_equal(alpha, np.zeros(3))
 
     def test_matches_gradient_descent_oracle(self, rng):
         A = rng.normal(size=(10, 6))
         t = rng.normal(size=10)
-        alpha = extract_relationship(protos(A), t, 1e-4)
+        alpha = extract(A, t, 1e-4)
         alpha_gd = ridge_gradient_descent_oracle(A, t, 1e-4)
         assert np.linalg.norm(alpha - alpha_gd) <= 1e-6
 
     def test_singular_unregularised_system_refused(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank one
         with pytest.raises(SingularSystem):
-            extract_relationship(protos(A), np.array([1.0, 0.0]), 0.0)
+            extract(A, np.array([1.0, 0.0]), 0.0)
 
 
 class TestBuildRelationshipMatrix:
@@ -84,20 +98,43 @@ class TestBuildRelationshipMatrix:
     def test_single_unseen_column(self, rng):
         A = rng.normal(size=(6, 4))
         t = rng.normal(size=6)
-        R = build_relationship_matrix(protos(A), protos(t.reshape(-1, 1), ("u",)), 1e-4)
-        np.testing.assert_array_equal(
-            R.data[:, 0], extract_relationship(protos(A), t, 1e-4)
-        )
+        np.testing.assert_array_equal(extract(A, t, 1e-4), percolumn_relationship(A, t, 1e-4))
 
-    def test_columns_match_percolumn_calls(self, rng):
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 40), k=st.integers(1, 40), l=st.integers(1, 12),
+           lam=st.floats(1e-8, 10.0), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
+    def test_columns_match_percolumn_calls(self, dim, k, l, lam, scale, seed, fortran):
+        # k > dim makes P^T P singular, so lam > 0 carries the factorisation.
+        rng = np.random.default_rng(seed)
+        A = scale * rng.normal(size=(dim, k))
+        U = rng.normal(size=(dim, l))
+        if fortran:
+            A, U = np.asfortranarray(A), np.asfortranarray(U)
+        try:
+            expected = [percolumn_relationship(A, U[:, j], lam) for j in range(l)]
+        except scipy.linalg.LinAlgError:
+            with pytest.raises(SingularSystem):
+                build_relationship_matrix(A, U, lam)
+            return
+        R = build_relationship_matrix(A, U, lam)
+        assert R.data.shape == (k, l)
+        for j in range(l):
+            np.testing.assert_array_equal(R.data[:, j], expected[j])
+
+    def test_prototype_sets_match_percolumn_calls(self, rng):
         A = rng.normal(size=(7, 5))
         U = rng.normal(size=(7, 3))
         R = build_relationship_matrix(protos(A), protos(U), 1e-3)
-        assert R.data.shape == (5, 3)
         for j in range(3):
-            np.testing.assert_array_equal(
-                R.data[:, j], extract_relationship(protos(A), U[:, j], 1e-3)
-            )
+            np.testing.assert_array_equal(R.data[:, j], percolumn_relationship(A, U[:, j], 1e-3))
+
+    def test_dimension_mismatch_and_negative_lambda_refused(self, rng):
+        A = rng.normal(size=(6, 4))
+        with pytest.raises(DimensionMismatch):
+            build_relationship_matrix(A, rng.normal(size=(5, 2)), 1e-4)
+        with pytest.raises(ValidationError):
+            build_relationship_matrix(A, rng.normal(size=(6, 2)), -1.0)
 
 
 class TestConsistencyMeasure:
@@ -167,6 +204,16 @@ class TestIrcGap:
         R_x = RelationshipMatrix(base + E, 1e-4)
         expect = np.linalg.norm(A @ (base + E) - A @ base) / np.linalg.norm(A @ base)
         assert irc_gap(protos(A), R_x, R_k) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("measure", [consistency_measure, irc_gap])
+def test_shape_mismatch_refused(measure, rng):
+    A = rng.normal(size=(5, 4))
+    R = RelationshipMatrix(rng.normal(size=(4, 2)), 1e-4)
+    with pytest.raises(DimensionMismatch):
+        measure(protos(A), R, RelationshipMatrix(rng.normal(size=(4, 3)), 1e-4))
+    with pytest.raises(DimensionMismatch):
+        measure(protos(A[:, :3]), R, R)
 
 
 class TestConsistencyReport:

@@ -25,9 +25,8 @@ from dmap.io import (
     load_matrix,
     load_model,
     load_prediction,
-    load_run_config,
     load_split,
-    run_config_from_dict,
+    run_config_fields,
     run_config_to_dict,
     save_confusion_csv,
     save_dataset,
@@ -222,6 +221,28 @@ class TestSplitAndLabels:
         with pytest.raises(ParseError):
             load_labels(path)
 
+    def test_integer_labels_accepted(self, tmp_path):
+        path = tmp_path / "labels.json"
+        save_labels((3, 1, 3), path)
+        assert load_labels(path) == (3, 1, 3)
+
+    @pytest.mark.parametrize("entry", [["a"], {"a": 1}, True, None, 1.5])
+    def test_label_and_split_entries_must_be_strings_or_integers(self, tmp_path, entry):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(["a", entry]))
+        with pytest.raises(ParseError, match="entry 1"):
+            load_labels(path)
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"seen": ["a", entry], "unseen": ["b"]}))
+        with pytest.raises(ParseError, match="entry 1"):
+            load_split(path)
+
+    def test_split_sides_must_be_arrays(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"seen": "ab", "unseen": ["c"]}))
+        with pytest.raises(ParseError):
+            load_split(path)
+
     def test_invalid_json_reports_location(self, tmp_path):
         path = tmp_path / "labels.json"
         path.write_text('["a",')
@@ -236,36 +257,34 @@ class TestRunConfig:
                             train_max_iter=5, test_max_iter=4,
                             convergence_tol=1e-6, mode="gzsr",
                             normalize=True, center=True)
-        obj = run_config_to_dict(config, epsilon=1e-9, seed=42)
+        obj = run_config_to_dict(config)
+        assert obj["lambda"] == 0.25 and obj["epsilon"] is None and obj["seed"] == 0
         path = tmp_path / "run.json"
         path.write_text(json.dumps(obj))
-        loaded, epsilon, seed = load_run_config(path)
+        loaded = DmapConfig(**run_config_fields(json.loads(path.read_text())))
         assert loaded == config
-        assert epsilon == 1e-9
-        assert seed == 42
 
     def test_lambda_key_maps_to_lam(self):
-        config, _, _ = run_config_from_dict({"lambda": 0.5})
-        assert config.lam == 0.5
+        assert run_config_fields({"lambda": 0.5}) == {"lam": 0.5}
 
     def test_partial_configs_use_defaults(self):
-        config, epsilon, seed = run_config_from_dict({"m": 3})
+        values = run_config_fields({"m": 3, "epsilon": 1e-9, "seed": 42})
+        assert values == {"m": 3}
+        config = DmapConfig(**values)
         assert config.m == 3
         assert config.gamma == DmapConfig().gamma
-        assert epsilon is None
-        assert seed == 0
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):
-            run_config_from_dict({"lamda": 0.5})
+            run_config_fields({"lamda": 0.5})
 
     def test_non_object_rejected(self):
         with pytest.raises(ValidationError):
-            run_config_from_dict([1, 2, 3])
+            run_config_fields([1, 2, 3])
 
     def test_bad_values_propagate_validation(self):
         with pytest.raises(ValidationError):
-            run_config_from_dict({"m": 0})
+            DmapConfig(**run_config_fields({"m": 0}))
 
 
 class TestReports:

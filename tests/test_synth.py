@@ -105,6 +105,15 @@ class TestSynthConfigValidation:
         with pytest.raises(ValidationError):
             SynthConfig(d=16, p=8, k=4, l=3, n_per_class=2, defect_pairs=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", "8"), ("d", 8.0), ("k", True), ("noise_sigma", "0.1"), ("seed", None),
+    ])
+    def test_values_of_wrong_type_rejected(self, field, value):
+        kwargs = dict(d=8, p=4, k=5, l=3, n_per_class=2)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=field):
+            SynthConfig(**kwargs)
+
 
 class TestDeterminism:
     def test_equal_seeds_give_bitwise_equal_worlds(self):

@@ -20,21 +20,17 @@ _EXPORTS = {
     "EmbeddingMatrix": "core",
     "ClassSplit": "core",
     "LabeledDataset": "core",
-    "LabelMatrix": "core",
     "PrototypeSet": "core",
     "class_mean_prototypes": "core",
     "build_label_matrix": "core",
     "l2_normalize_columns": "core",
     "center_columns": "core",
     # closed-form mapping
-    "MapMatrix": "linmap",
     "solve_ridge_map": "linmap",
     "predict_semantic": "linmap",
     "ridge_objective": "linmap",
     "stationarity_residual": "linmap",
     # relationship consistency and pre-inspection
-    "RelationshipMatrix": "consistency",
-    "ProjectionDecomposition": "consistency",
     "DefectReport": "consistency",
     "build_relationship_matrix": "consistency",
     "consistency_measure": "consistency",

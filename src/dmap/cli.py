@@ -164,12 +164,16 @@ def _ktilde_path(out) -> Path:
 
 def _cmd_eval(args) -> int:
     from . import io as dio
+    from .errors import ValidationError
     from .evaluation import evaluate
 
+    try:
+        ks = tuple(int(tok) for tok in args.topk.split(",")) if args.topk else (1,)
+    except ValueError:
+        raise ValidationError(f"--topk must be comma-separated integers, got {args.topk!r}") from None
     prediction, stored_mode = dio.load_prediction(args.pred)
     truth = dio.load_labels(args.truth)
     mode = args.mode if args.mode is not None else stored_mode
-    ks = tuple(int(tok) for tok in args.topk.split(",")) if args.topk else (1,)
     report = evaluate(prediction, truth, mode, ks)
     _ensure_parent(args.out)
     dio.save_eval_report(report, args.out)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import as_array, class_mean_prototypes, _freeze
+from .core import _class_ids, _freeze, as_array, class_mean_prototypes
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -33,40 +33,6 @@ DEGENERATE_NORM = 1e-12
 
 #: Default relative factor for the pre-inspection threshold.
 RELATIVE_EPSILON = 1e-6
-
-
-@dataclass(frozen=True)
-class RelationshipMatrix:
-    """``k x l`` ridge coefficients of unseen classes over seen prototypes."""
-
-    data: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        data = _freeze(np.atleast_2d(as_array(self.data)))
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("relationship matrix contains non-finite entries")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "lam", float(self.lam))
-
-
-@dataclass(frozen=True)
-class ProjectionDecomposition:
-    """Split of an embedding into its span(K_s) part and the orthogonal rest.
-
-    ``u`` is the orthogonal projection onto the span of the seen
-    embeddings, ``v = k_u - u`` the residual, and ``alpha`` the
-    minimum-norm coefficients with ``u = K_s alpha``.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _freeze(np.asarray(self.u, dtype=np.float64)))
-        object.__setattr__(self, "v", _freeze(np.asarray(self.v, dtype=np.float64)))
-        object.__setattr__(self, "alpha", _freeze(np.asarray(self.alpha, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -86,12 +52,14 @@ class DefectReport:
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
-def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) -> RelationshipMatrix:
-    """Column ``i`` solves ``argmin_a ||u_i - P a||^2 + lam ||a||^2`` for the
-    seen prototypes ``P`` (``dim x k``): ``a = (P^T P + lam I)^-1 P^T u_i``,
-    with one factorisation of ``P^T P + lam I`` for all columns.
+def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) -> np.ndarray:
+    """The ``k x l`` relationship matrix, read-only: column ``i`` solves
+    ``argmin_a ||u_i - P a||^2 + lam ||a||^2`` for the seen prototypes ``P``
+    (``dim x k``), ``a = (P^T P + lam I)^-1 P^T u_i``, with one
+    factorisation of ``P^T P + lam I`` for all columns.
 
-    Raises ``SingularSystem`` when ``lam = 0`` and ``P^T P`` is singular.
+    Raises ``SingularSystem`` when ``lam = 0`` and ``P^T P`` is singular, or
+    when the Gram matrix or the right-hand side overflows.
     """
     P = as_array(seen_prototypes)
     U = as_array(unseen_prototypes)
@@ -102,15 +70,17 @@ def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) ->
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
     gram = P.T @ P + lam * np.eye(P.shape[1])
+    # One matrix-vector product per column: the GEMM P.T @ U rounds differently.
+    rhs = np.matmul(P.T, U.T[:, :, None])[:, :, 0].T
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise SingularSystem("relationship system has non-finite entries; rescale the inputs")
     try:
         cho = scipy.linalg.cho_factor(gram, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"seen-prototype Gram is singular with lambda={lam}: {exc}"
         ) from exc
-    # One matrix-vector product per column: the GEMM P.T @ U rounds differently.
-    rhs = np.matmul(P.T, U.T[:, :, None])[:, :, 0].T
-    return RelationshipMatrix(scipy.linalg.cho_solve(cho, rhs), lam)
+    return _freeze(scipy.linalg.cho_solve(cho, rhs))
 
 
 def _relationship_images(seen_prototypes, R_x, R_k) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +96,7 @@ def _relationship_images(seen_prototypes, R_x, R_k) -> tuple[np.ndarray, np.ndar
     return P @ Rx, P @ Rk
 
 
-def consistency_measure(seen_prototypes, R_x: RelationshipMatrix, R_k: RelationshipMatrix) -> float:
+def consistency_measure(seen_prototypes, R_x, R_k) -> float:
     """Scalar in (0, 1] quantifying inter-class relationship consistency.
 
     For each unseen class ``i`` with relationship images
@@ -155,7 +125,7 @@ def consistency_measure(seen_prototypes, R_x: RelationshipMatrix, R_k: Relations
     return float(terms.mean())
 
 
-def irc_gap(seen_prototypes, R_x: RelationshipMatrix, R_k: RelationshipMatrix) -> float:
+def irc_gap(seen_prototypes, R_x, R_k) -> float:
     """Relative Frobenius gap ``||X~_s R_x - X~_s R_k|| / ||X~_s R_k||``.
 
     Zero exactly when the inter-class relationships agree; the
@@ -182,8 +152,9 @@ def consistency_report(features, labels, split, embeddings, lam: float) -> tuple
     return consistency_measure(seen, R_x, R_k), irc_gap(seen, R_x, R_k)
 
 
-def project_onto_seen_span(K_s, k_u) -> ProjectionDecomposition:
-    """Orthogonal projection of one embedding onto the span of the seen ones.
+def project_onto_seen_span(K_s, k_u) -> np.ndarray:
+    """Orthogonal projection ``u`` of one embedding onto the span of the
+    seen ones; ``k_u - u`` is orthogonal to that span.
 
     Uses the minimum-norm least-squares solution, so rank-deficient seen
     embeddings are handled; the projection ``u`` itself is unique either
@@ -194,11 +165,10 @@ def project_onto_seen_span(K_s, k_u) -> ProjectionDecomposition:
     if Ks.shape[0] != t.shape[0]:
         raise DimensionMismatch(f"embeddings have dim {Ks.shape[0]}, target has dim {t.shape[0]}")
     alpha, *_ = np.linalg.lstsq(Ks, t, rcond=None)
-    u = Ks @ alpha
-    return ProjectionDecomposition(u=u, v=t - u, alpha=alpha)
+    return Ks @ alpha
 
 
-def preinspect(K_s, K_u, epsilon: float | None = None, *, class_ids=None) -> DefectReport:
+def preinspect(K_s, K_u, epsilon: float | None = None) -> DefectReport:
     """Scan the unseen classes for pairs a seen-trained linear map cannot separate.
 
     Each unseen embedding is projected onto span(K_s); the report holds
@@ -206,22 +176,21 @@ def preinspect(K_s, K_u, epsilon: float | None = None, *, class_ids=None) -> Def
     and flags every pair ``i < j`` with distance at most ``epsilon``.
 
     When ``epsilon`` is omitted it defaults to ``1e-6`` times the median
-    off-diagonal distance — the flag is then scale-free.  Pass an
-    absolute value to override.
+    off-diagonal distance — the flag is then scale-free.  Pass a finite,
+    nonnegative absolute value to override.  Classes are named by the
+    ``class_ids`` of ``K_u``, or ``u0000, u0001, ...`` for a plain array.
     """
     Ks, Ku = as_array(K_s), as_array(K_u)
     if Ks.shape[0] != Ku.shape[0]:
         raise DimensionMismatch(
             f"seen embeddings have dim {Ks.shape[0]}, unseen have dim {Ku.shape[0]}"
         )
-    if class_ids is None:
-        if hasattr(K_u, "class_ids"):
-            class_ids = K_u.class_ids
-        else:
-            class_ids = tuple(f"u{j:04d}" for j in range(Ku.shape[1]))
+    if epsilon is not None and not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValidationError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    class_ids = _class_ids(K_u, "u")
     l = Ku.shape[1]
     projections = np.stack(
-        [project_onto_seen_span(Ks, Ku[:, j]).u for j in range(l)], axis=1
+        [project_onto_seen_span(Ks, Ku[:, j]) for j in range(l)], axis=1
     )
     dist = np.zeros((l, l))
     for i in range(l):
@@ -231,8 +200,6 @@ def preinspect(K_s, K_u, epsilon: float | None = None, *, class_ids=None) -> Def
         off_diag = dist[np.triu_indices(l, k=1)]
         median = float(np.median(off_diag)) if off_diag.size else 0.0
         epsilon = RELATIVE_EPSILON * median
-    if epsilon < 0:
-        raise ValidationError("epsilon must be nonnegative")
     flagged = tuple(
         (class_ids[i], class_ids[j], float(dist[i, j]))
         for i in range(l)
@@ -243,5 +210,5 @@ def preinspect(K_s, K_u, epsilon: float | None = None, *, class_ids=None) -> Def
         pairwise_distances=dist,
         flagged_pairs=flagged,
         epsilon=float(epsilon),
-        class_ids=tuple(class_ids),
+        class_ids=class_ids,
     )

@@ -1,5 +1,5 @@
 """Core data types shared by every module: feature/embedding matrices,
-class splits, label matrices, and class prototypes.
+class splits, and class prototypes, plus the +-1 label array.
 
 Conventions
 -----------
@@ -15,8 +15,9 @@ read-only), so values can be shared freely across threads.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +30,6 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
-
-CLASS_MEAN = "class_mean"
-KNN_AVERAGE = "knn_average"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -52,12 +50,15 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "boo
 
 def check_field_types(config) -> None:
     """Raise ``ValidationError`` unless every field of the dataclass ``config``
-    holds a value of its annotated type; ``bool`` (an ``int``) counts only as ``bool``."""
+    holds a value of its annotated type, finite for ``float``; ``bool`` (an
+    ``int``) counts only as ``bool``."""
     for f in fields(config):
         value = getattr(config, f.name)
         if (not isinstance(value, _FIELD_TYPES[f.type])
                 or (isinstance(value, bool) and f.type != "bool")):
             raise ValidationError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
 
 def as_array(x) -> np.ndarray:
@@ -230,32 +231,11 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
-class LabelMatrix:
-    """An ``n x k`` matrix with entries in {-1, +1}, one +1 per row."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = _freeze(np.atleast_2d(as_array(self.data)))
-        if not np.all(np.isin(data, (-1.0, 1.0))):
-            raise ValidationError("label matrix entries must be -1 or +1")
-        if not np.all(np.sum(data == 1.0, axis=1) == 1):
-            raise ValidationError("each label matrix row must contain exactly one +1")
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True)
 class PrototypeSet:
-    """One representative vector per class: ``dim x c`` plus class ids.
-
-    ``source`` records how the prototypes were obtained: ``class_mean``
-    (arithmetic mean of a class's instances) or ``knn_average`` (mean of
-    the features whose predictions are nearest to a class anchor).
-    """
+    """One representative vector per class: ``dim x c`` plus class ids."""
 
     data: np.ndarray
     class_ids: tuple
-    source: str = CLASS_MEAN
 
     def __post_init__(self):
         data = _freeze(np.atleast_2d(as_array(self.data)))
@@ -263,8 +243,6 @@ class PrototypeSet:
         ids = tuple(self.class_ids)
         if len(ids) != data.shape[1]:
             raise ValidationError(f"{len(ids)} class ids for {data.shape[1]} prototype columns")
-        if self.source not in (CLASS_MEAN, KNN_AVERAGE):
-            raise ValidationError(f"unknown prototype source {self.source!r}")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "class_ids", ids)
 
@@ -284,7 +262,7 @@ def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> Prot
     -------
     PrototypeSet
         Column ``i`` is the mean of the feature columns labelled
-        ``classes[i]``; ``source`` is ``class_mean``.
+        ``classes[i]``.
 
     Raises
     ------
@@ -301,11 +279,17 @@ def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> Prot
         if not mask.any():
             raise MissingClass(f"class {cls!r} has no instances")
         protos[:, i] = X[:, mask].mean(axis=1)
-    return PrototypeSet(protos, tuple(classes), source=CLASS_MEAN)
+    return PrototypeSet(protos, tuple(classes))
 
 
-def build_label_matrix(labels: Sequence, seen: Sequence) -> LabelMatrix:
-    """Instance-by-class target matrix: +1 at the true class, -1 elsewhere.
+def _class_ids(K, prefix: str) -> tuple:
+    """The class ids ``K`` carries, or positional ids ``<prefix>0000, ...``."""
+    return tuple(getattr(K, "class_ids", None) or
+                 (f"{prefix}{j:04d}" for j in range(as_array(K).shape[1])))
+
+
+def build_label_matrix(labels: Sequence, seen: Sequence) -> np.ndarray:
+    """Instance-by-class ``n x k`` target array: +1 at the true class, -1 elsewhere.
 
     Raises
     ------
@@ -321,7 +305,7 @@ def build_label_matrix(labels: Sequence, seen: Sequence) -> LabelMatrix:
         if j is None:
             raise UnknownLabel(f"label {lab!r} is not a seen class")
         Y[i, j] = 1.0
-    return LabelMatrix(Y)
+    return Y
 
 
 def l2_normalize_columns(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import gzip
-import io as _stdio
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -30,11 +29,11 @@ from .core import (
     FeatureMatrix,
     LabeledDataset,
     PrototypeSet,
-    KNN_AVERAGE,
+    _freeze,
+    as_array,
 )
 from .errors import ParseError, ShapeMismatch, ValidationError
 from .evaluation import EvalReport
-from .linmap import MapMatrix
 from .model import DmapConfig, DmapModel, Prediction
 from .synth import SynthDataset
 
@@ -57,7 +56,7 @@ def _open_text(path: Path, mode: str):
 
 def save_matrix(matrix, path) -> None:
     """Write a 2-D array in the text matrix format (gzip if ``*.gz``)."""
-    arr = np.atleast_2d(np.asarray(getattr(matrix, "data", matrix), dtype=np.float64))
+    arr = np.atleast_2d(as_array(matrix))
     if arr.ndim != 2:
         raise ValidationError(f"matrix files hold 2-D arrays, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -90,10 +89,10 @@ def load_matrix(path) -> np.ndarray:
             f"expected header '{MATRIX_MAGIC} {MATRIX_VERSION} <rows> <cols>', got {lines[0]!r}",
             line=1,
         )
-    try:
-        rows, cols = int(header[2]), int(header[3])
-    except ValueError:
-        raise ParseError(f"non-integer shape in header: {lines[0]!r}", line=1) from None
+    # int() also reads "+1", "1_0" and non-ASCII digits.
+    if not all(tok.isascii() and tok.isdigit() for tok in header[2:]):
+        raise ParseError(f"shape in header is not two decimal integers: {lines[0]!r}", line=1)
+    rows, cols = int(header[2]), int(header[3])
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix shape must be positive, got {rows}x{cols}", line=1)
     body = lines[1:]
@@ -257,17 +256,24 @@ def load_prediction(path) -> tuple[Prediction, str]:
     needed = {"mode", "instance_ids", "predicted", "candidates", "scores"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise ParseError(f"prediction file missing keys {sorted(needed)}: {path}")
+    instance_ids = _ids(obj["instance_ids"], "instance_ids", path)
+    predicted = _ids(obj["predicted"], "predicted", path)
+    candidates = _ids(obj["candidates"], "candidates", path)
     try:
         scores = np.asarray(obj["scores"], dtype=np.float64)
     except (TypeError, ValueError):
         raise ParseError(f"prediction scores are not a rectangular table of numbers: {path}") from None
-    prediction = Prediction(
-        instance_ids=tuple(obj["instance_ids"]),
-        predicted_class=tuple(obj["predicted"]),
-        score_matrix=scores,
-        candidate_ids=tuple(obj["candidates"]),
-    )
-    return prediction, str(obj["mode"])
+    if len(predicted) != len(instance_ids) or scores.shape != (len(candidates), len(instance_ids)):
+        raise ParseError(f"prediction has {len(instance_ids)} instance ids, {len(predicted)} "
+                         f"predicted ids and scores of shape {scores.shape} for "
+                         f"{len(candidates)} candidates: {path}")
+    if len(set(candidates)) != len(candidates):
+        raise ParseError(f"prediction candidates are not unique: {path}")
+    unknown = set(predicted) - set(candidates)
+    if unknown:
+        raise ParseError(f"predicted classes not among the candidates: "
+                         f"{sorted(unknown, key=repr)}: {path}")
+    return Prediction(instance_ids, predicted, scores, candidates), str(obj["mode"])
 
 
 def write_summary_csv(rows: Sequence[Mapping], path) -> None:
@@ -299,8 +305,8 @@ def save_model(model: DmapModel, directory) -> None:
     """Serialise a trained model: three matrix files plus metadata JSON."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_matrix(model.f_s.data, directory / "f_s.dmx")
-    save_matrix(model.f_tilde.data, directory / "f_tilde.dmx")
+    save_matrix(model.f_s, directory / "f_s.dmx")
+    save_matrix(model.f_tilde, directory / "f_tilde.dmx")
     save_matrix(model.k_tilde_s.data, directory / "k_tilde_s.dmx")
     if model.feature_mean is not None:
         save_matrix(model.feature_mean.reshape(-1, 1), directory / "feature_mean.dmx")
@@ -331,11 +337,15 @@ def load_model(directory) -> DmapModel:
     except ValidationError as e:
         raise ParseError(f"{_MODEL_META} config: {e}: {directory}") from None
     seen_ids = _ids(meta["seen_class_ids"], "seen_class_ids", directory / _MODEL_META)
+    has_mean = meta.get("has_feature_mean", False)
+    if has_mean is not config.center:
+        raise ParseError(f"{_MODEL_META} has has_feature_mean {has_mean!r} but config "
+                         f"center {config.center!r}: {directory}")
     f_s = load_matrix(directory / "f_s.dmx")
     f_tilde = load_matrix(directory / "f_tilde.dmx")
     k_tilde = load_matrix(directory / "k_tilde_s.dmx")
     mean = None
-    if meta.get("has_feature_mean"):
+    if has_mean:
         mean = load_matrix(directory / "feature_mean.dmx").reshape(-1)
     d = f_s.shape[0]
     for name, size, expected, source in (
@@ -347,9 +357,9 @@ def load_model(directory) -> DmapModel:
         if size != expected:
             raise ShapeMismatch(f"{name}: {size}, but {source}: {expected}: {directory}")
     return DmapModel(
-        f_s=MapMatrix(f_s, config.gamma, config.eta),
-        f_tilde=MapMatrix(f_tilde, config.gamma, config.eta),
-        k_tilde_s=PrototypeSet(k_tilde, seen_ids, source=KNN_AVERAGE),
+        f_s=_freeze(f_s),
+        f_tilde=_freeze(f_tilde),
+        k_tilde_s=PrototypeSet(k_tilde, seen_ids),
         train_iterations_run=iterations,
         config=config,
         feature_mean=mean,

@@ -29,7 +29,6 @@ says it must be.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -43,39 +42,11 @@ logger = logging.getLogger(__name__)
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class MapMatrix:
-    """Parameter of a learned linear map ``f(x) = V^T x``.
-
-    ``data`` is ``d x p``: rows index the input (feature) space, columns
-    index the output (embedding) space.  The regularisers used to fit
-    the map are kept for provenance.
-    """
-
-    data: np.ndarray
-    gamma: float
-    eta: float
-
-    def __post_init__(self):
-        data = _freeze(np.atleast_2d(as_array(self.data)))
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("map matrix contains non-finite entries")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "eta", float(self.eta))
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[1]
-
-
-def _spd_cholesky(gram: np.ndarray, reg: float, what: str, cond_limit: float):
-    """Factor ``gram + reg*I`` after a conditioning check."""
+def _spd_cholesky(gram: np.ndarray, reg: float, what: str):
+    """Factor ``gram + reg*I`` after a finiteness and a conditioning check."""
     A = gram + reg * np.eye(gram.shape[0])
+    if not np.all(np.isfinite(A)):
+        raise SingularSystem(f"{what} has non-finite entries; rescale the inputs")
     # Symmetric eigenvalues give the exact 2-norm condition number at
     # these sizes; an ill-conditioned Gram matrix means the closed form
     # would amplify noise by ~cond, so refuse rather than return junk.
@@ -85,9 +56,9 @@ def _spd_cholesky(gram: np.ndarray, reg: float, what: str, cond_limit: float):
         raise SingularSystem(f"{what}: eigenvalue estimation failed: {exc}") from exc
     lo, hi = eigs.min(), eigs.max()
     cond = np.inf if lo == 0.0 else hi / lo
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise SingularSystem(
-            f"{what} has condition ~{cond:.3g} (limit {cond_limit:.3g}); "
+            f"{what} has condition ~{cond:.3g} (limit {COND_LIMIT:.3g}); "
             "increase the regulariser"
         )
     try:
@@ -96,30 +67,30 @@ def _spd_cholesky(gram: np.ndarray, reg: float, what: str, cond_limit: float):
         raise SingularSystem(f"{what}: Cholesky factorisation failed: {exc}") from exc
 
 
-def solve_ridge_map(X, K, Y, gamma: float, eta: float, *, cond_limit: float = COND_LIMIT) -> MapMatrix:
+def solve_ridge_map(X, K, Y, gamma: float, eta: float) -> np.ndarray:
     """Exact minimiser of the doubly regularised ridge objective.
 
     Parameters
     ----------
     X : FeatureMatrix or array_like, shape (d, n)
     K : EmbeddingMatrix or array_like, shape (p, k)
-    Y : LabelMatrix or array_like, shape (n, k)
+    Y : array_like, shape (n, k)
+        The +-1 label array of :func:`dmap.core.build_label_matrix`.
     gamma, eta : float
         Nonnegative regularisers on the feature-side and embedding-side
         Gram matrices respectively.
-    cond_limit : float, optional
-        Condition-number threshold above which the system is refused.
 
     Returns
     -------
-    MapMatrix
-        ``V = (X X^T + gamma I)^-1 X Y K^T (K K^T + eta I)^-1``.
+    numpy.ndarray, shape (d, p)
+        ``V = (X X^T + gamma I)^-1 X Y K^T (K K^T + eta I)^-1``, read-only,
+        float64 and C-contiguous; the map is ``f(x) = V^T x``.
 
     Raises
     ------
     SingularSystem
-        If either regularised Gram matrix is ill-conditioned beyond
-        ``cond_limit`` or fails to factorise.
+        If either regularised Gram matrix is non-finite, ill-conditioned
+        beyond ``COND_LIMIT`` or fails to factorise.
     """
     X, K, Y = as_array(X), as_array(K), as_array(Y)
     if gamma < 0 or eta < 0:
@@ -133,32 +104,32 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float, *, cond_limit: float = CO
     d, n = X.shape
     # Feature side first: T = (X X^T + gamma I)^-1 X Y, shape d x k.
     if d <= n:
-        cho_x = _spd_cholesky(X @ X.T, gamma, "feature Gram X X^T", cond_limit)
+        cho_x = _spd_cholesky(X @ X.T, gamma, "feature Gram X X^T")
         T = scipy.linalg.cho_solve(cho_x, X @ Y)
     else:
-        cho_x = _spd_cholesky(X.T @ X, gamma, "feature Gram X^T X", cond_limit)
+        cho_x = _spd_cholesky(X.T @ X, gamma, "feature Gram X^T X")
         T = X @ scipy.linalg.cho_solve(cho_x, Y)
     # Embedding side: V = T K^T (K K^T + eta I)^-1.  In the k < p case the
     # solve happens before the final multiplication, so V's embedding-side
     # rows are combinations of K's columns by construction and the
     # feature-side solve's rounding cannot escape span(K).
     if p <= k:
-        cho_k = _spd_cholesky(K @ K.T, eta, "embedding Gram K K^T", cond_limit)
+        cho_k = _spd_cholesky(K @ K.T, eta, "embedding Gram K K^T")
         V = scipy.linalg.cho_solve(cho_k, (T @ K.T).T).T
     else:
-        cho_k = _spd_cholesky(K.T @ K, eta, "embedding Gram K^T K", cond_limit)
+        cho_k = _spd_cholesky(K.T @ K, eta, "embedding Gram K^T K")
         V = T @ scipy.linalg.cho_solve(cho_k, K.T)
-    return MapMatrix(V, gamma, eta)
+    return _freeze(V)
 
 
-def predict_semantic(map_matrix: MapMatrix, X) -> np.ndarray:
-    """Apply the map to every column: returns ``V^T X`` with shape (p, n)."""
-    X = as_array(X)
-    if map_matrix.d != X.shape[0]:
+def predict_semantic(V, X) -> np.ndarray:
+    """Apply the map ``V`` (``d x p``) to every column: returns ``V^T X`` with shape (p, n)."""
+    V, X = as_array(V), as_array(X)
+    if V.shape[0] != X.shape[0]:
         raise DimensionMismatch(
-            f"map expects {map_matrix.d}-dimensional features, got {X.shape[0]}"
+            f"map expects {V.shape[0]}-dimensional features, got {X.shape[0]}"
         )
-    return map_matrix.data.T @ X
+    return V.T @ X
 
 
 def ridge_objective(V, X, K, Y, gamma: float, eta: float) -> float:

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    KNN_AVERAGE,
     FeatureMatrix,
     LabeledDataset,
     PrototypeSet,
+    _class_ids,
     as_array,
     build_label_matrix,
     center_columns,
@@ -50,7 +50,7 @@ from .errors import (
     EmptyTrainingSet,
     ValidationError,
 )
-from .linmap import MapMatrix, predict_semantic, solve_ridge_map
+from .linmap import predict_semantic, solve_ridge_map
 
 logger = logging.getLogger(__name__)
 
@@ -129,24 +129,26 @@ TRAINED_FIELDS = ("gamma", "eta", "train_max_iter", "convergence_tol", "normaliz
 class DmapModel:
     """Trained dual-path model.
 
-    ``f_s`` maps features to the given semantic space (d x p); ``f_tilde``
-    maps features to the constructed space (d x d); ``k_tilde_s`` holds the
-    refined seen-class prototypes in feature dimension.  ``feature_mean``
-    is stored only when ``config.center`` is set, so the identical shift
-    can be applied at test time.
+    ``f_s`` (d x p) maps features to the given semantic space and
+    ``f_tilde`` (d x d) to the constructed space, both read-only arrays
+    ``V`` of maps ``f(x) = V^T x`` fit with ``config.gamma`` and
+    ``config.eta``; ``k_tilde_s`` holds the refined seen-class prototypes
+    in feature dimension.  ``feature_mean`` is stored only when
+    ``config.center`` is set, so the identical shift can be applied at
+    test time.
     """
 
-    f_s: MapMatrix
-    f_tilde: MapMatrix
+    f_s: np.ndarray
+    f_tilde: np.ndarray
     k_tilde_s: PrototypeSet
     train_iterations_run: int
     config: DmapConfig
     feature_mean: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.f_tilde.p != self.k_tilde_s.data.shape[0]:
+        if self.f_tilde.shape[1] != self.k_tilde_s.data.shape[0]:
             raise ValidationError(
-                f"second path maps into dim {self.f_tilde.p} but refined prototypes "
+                f"second path maps into dim {self.f_tilde.shape[1]} but refined prototypes "
                 f"have dim {self.k_tilde_s.data.shape[0]}"
             )
 
@@ -343,7 +345,7 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
     return DmapModel(
         f_s=f_s,
         f_tilde=f_tilde,
-        k_tilde_s=PrototypeSet(k_tilde, dataset.split.seen, source=KNN_AVERAGE),
+        k_tilde_s=PrototypeSet(k_tilde, dataset.split.seen),
         train_iterations_run=iterations_run,
         config=config,
         feature_mean=feature_mean,
@@ -374,11 +376,6 @@ def _test_arrays(model: DmapModel, X_test) -> tuple[np.ndarray, tuple]:
         raise EmptyTestSet("no test instances")
     X, _ = _prepare_features(X, model.config, model.feature_mean)
     return X, ids
-
-
-def _class_ids(K, prefix: str) -> tuple:
-    return tuple(getattr(K, "class_ids", None) or
-                 (f"{prefix}{j:04d}" for j in range(as_array(K).shape[1])))
 
 
 def _candidates(model: DmapModel, mode: str | None, unseen, seen) -> tuple[np.ndarray, tuple]:
@@ -448,7 +445,7 @@ def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
     for _ in range(iterations):
         k_tilde_u = _refine_prototypes(k_tilde_u, search, X, model.config.m)
         search = preds_tilde
-        prototypes = PrototypeSet(k_tilde_u, unseen_ids, source=KNN_AVERAGE)
+        prototypes = PrototypeSet(k_tilde_u, unseen_ids)
         candidates, candidate_ids = _candidates(model, mode, prototypes, model.k_tilde_s)
         yield (_score_and_predict(candidates, candidate_ids, preds_tilde, instance_ids),
                prototypes)

@@ -152,25 +152,20 @@ def _class_ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i:0{width}d}" for i in range(count))
 
 
-def _spread_unit_columns(
-    raw: np.ndarray,
-    balanced: bool,
-    rounds: int = _SPREAD_ROUNDS,
-    tol: float = _SPREAD_TOL,
-) -> np.ndarray:
+def _spread_unit_columns(raw: np.ndarray, balanced: bool) -> np.ndarray:
     """Alternate projections toward a spread set of unit columns.
 
     Targets the nearest orthonormal set (``c <= p``) or unit-norm tight
     frame (``c > p``); with ``balanced`` the columns are also driven to
     zero sum.  The orthogonal polar factor used for the frame step is
     unique, so the result is deterministic in the input.  Iteration stops
-    once the Gram (and, if requested, the column sum) meets ``tol``, so the
-    structural identities downstream proofs rely on hold to machine
+    once the Gram (and, if requested, the column sum) meets ``_SPREAD_TOL``,
+    so the structural identities downstream proofs rely on hold to machine
     precision.
     """
     p, c = raw.shape
     K = raw.copy()
-    for _ in range(rounds):
+    for _ in range(_SPREAD_ROUNDS):
         if balanced:
             K = K - K.mean(axis=1, keepdims=True)
         U, _, Vt = np.linalg.svd(K, full_matrices=False)
@@ -183,7 +178,7 @@ def _spread_unit_columns(
         else:
             gram_dev = np.abs(K.T @ K - np.eye(c)).max()
         sum_dev = np.abs(K.mean(axis=1)).max() if balanced else 0.0
-        if max(gram_dev, sum_dev) < tol:
+        if max(gram_dev, sum_dev) < _SPREAD_TOL:
             break
     return K
 

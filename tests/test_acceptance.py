@@ -73,7 +73,7 @@ def test_criterion_01_closed_form_matches_normal_equations():
         Y = np.full((n, k), -1.0)
         Y[np.arange(n), rng.integers(0, k, size=n)] = 1.0
 
-        V = solve_ridge_map(X, K, Y, gamma, eta).data
+        V = solve_ridge_map(X, K, Y, gamma, eta)
 
         A = X @ X.T + gamma * np.eye(d)
         B = K @ K.T + eta * np.eye(p)

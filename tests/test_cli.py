@@ -377,6 +377,28 @@ class TestPredictOverrides:
         assert main(predict_argv(broken, exact_data_dir, tmp_path / "pred.json")) == 4
         assert one_json_error(capsys) == "ShapeMismatch"
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update(has_feature_mean=False),
+        lambda meta: meta.pop("has_feature_mean"),
+        lambda meta: meta["config"].update(center=False),
+    ])
+    def test_center_disagreeing_with_feature_mean_exits_4(self, centred_model, exact_data_dir,
+                                                          tmp_path, capsys, edit):
+        # Each edit used to load, and predict ran centred on the test batch's
+        # own mean, or uncentred with a stored mean.
+        broken = tmp_path / "model"
+        broken.mkdir()
+        for path in centred_model.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        meta = json.loads((broken / "model.json").read_text())
+        edit(meta)
+        (broken / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match="has_feature_mean"):
+            dio.load_model(broken)
+        assert main(predict_argv(broken, exact_data_dir, tmp_path / "pred.json")) == 4
+        assert one_json_error(capsys) == "ParseError"
+        assert not (tmp_path / "pred.json").exists()
+
 
 @pytest.mark.parametrize("command", ["cm", "train", "predict", "pipeline"])
 def test_embedding_columns_disagreeing_with_split_exit_4(command, exact_data_dir,
@@ -450,6 +472,51 @@ def test_run_config_value_of_wrong_type_exits_2(exact_data_dir, tmp_path, capsys
     assert not (tmp_path / "model").exists()
 
 
+def train_argv(data_dir, model_dir, features=None):
+    return ["train", "--features", str(features or data_dir / "train_features.dmx"),
+            "--labels", str(data_dir / "train_labels.json"),
+            "--split", str(data_dir / "split.json"),
+            "--embeddings", str(data_dir / "embeddings.dmx"),
+            "--model-dir", str(model_dir)]
+
+
+@pytest.mark.parametrize("flags, file_config", [
+    (["--gamma", "nan"], None), (["--gamma", "inf"], None),
+    (["--convergence-tol", "nan"], None), (["--lambda", "nan"], None),
+    ([], {"gamma": float("nan")}), ([], {"convergence_tol": float("inf")}),
+])
+def test_non_finite_setting_exits_2(exact_data_dir, tmp_path, capsys, flags, file_config):
+    if file_config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(file_config))  # writes NaN / Infinity
+        flags = ["--config", str(tmp_path / "run.json")]
+    assert main(train_argv(exact_data_dir, tmp_path / "model") + flags) == 2
+    assert one_json_error(capsys) == "ValidationError"
+    assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cm"])
+def test_overflowing_features_exit_3(command, exact_data_dir, tmp_path, capsys):
+    # Finite 1e200-scale features whose Gram matrices overflow.
+    X = dio.load_matrix(exact_data_dir / "train_features.dmx")
+    labels = json.loads((exact_data_dir / "train_labels.json").read_text())
+    if command == "cm":  # cm needs instances of the unseen classes too
+        X = np.concatenate([X, dio.load_matrix(exact_data_dir / "test_features.dmx")], axis=1)
+        labels += json.loads((exact_data_dir / "test_labels.json").read_text())
+    dio.save_matrix(1e200 * X, tmp_path / "big.dmx")
+    (tmp_path / "labels.json").write_text(json.dumps(labels))
+    argv = {
+        "train": train_argv(exact_data_dir, tmp_path / "model", tmp_path / "big.dmx"),
+        "cm": ["cm", "--features", str(tmp_path / "big.dmx"),
+               "--labels", str(tmp_path / "labels.json"),
+               "--split", str(exact_data_dir / "split.json"),
+               "--embeddings", str(exact_data_dir / "embeddings.dmx"),
+               "--out", str(tmp_path / "cm.json")],
+    }[command]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 3
+    assert one_json_error(capsys) == "SingularSystem"
+
+
 class TestEvalCommand:
     def test_hand_written_prediction(self, tmp_path):
         scores = np.array([[3.0, 0.0, 2.0], [1.0, 2.0, 1.0]])
@@ -487,6 +554,40 @@ class TestEvalCommand:
         assert code == 4
         assert one_json_error(capsys) == "ParseError"
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(predicted=["a", "z"]),        # not a candidate
+        lambda obj: obj.update(instance_ids="x0"),           # not an array
+        lambda obj: obj.update(instance_ids=["x0", ["x1"]]),  # a list entry
+        lambda obj: obj["predicted"].pop(),                  # shorter than the ids
+        lambda obj: obj.update(predicted=["a", ["b"]]),      # a list entry
+        lambda obj: obj.update(candidates={"a": 0}),         # not an array
+        lambda obj: obj["scores"].pop(),                     # one candidate row short
+        lambda obj: obj.update(candidates=["a", "a"], predicted=["a", "a"]),  # repeated
+    ])
+    def test_malformed_prediction_exits_4(self, tmp_path, capsys, edit):
+        pred = Prediction(("x0", "x1"), ("a", "b"), np.eye(2), ("a", "b"))
+        obj = dio.prediction_to_dict(pred, "czsr")
+        edit(obj)
+        (tmp_path / "pred.json").write_text(json.dumps(obj))
+        (tmp_path / "truth.json").write_text(json.dumps(["a", "b"]))
+        code = main(["eval", "--pred", str(tmp_path / "pred.json"),
+                     "--truth", str(tmp_path / "truth.json"),
+                     "--out", str(tmp_path / "eval.json")])
+        assert code == 4
+        assert one_json_error(capsys) == "ParseError"
+        assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("topk", ["a", "1,x", "1,,2"])
+    def test_bad_topk_exits_2(self, tmp_path, capsys, topk):
+        pred = Prediction(("x0",), ("a",), np.array([[1.0]]), ("a",))
+        dio.save_prediction(pred, "czsr", tmp_path / "pred.json")
+        (tmp_path / "truth.json").write_text(json.dumps(["a"]))
+        code = main(["eval", "--pred", str(tmp_path / "pred.json"),
+                     "--truth", str(tmp_path / "truth.json"), "--topk", topk,
+                     "--out", str(tmp_path / "eval.json")])
+        assert code == 2
+        assert one_json_error(capsys) == "ValidationError"
+
     def test_truth_count_mismatch_exits_2(self, tmp_path, capsys):
         pred = Prediction(("x0",), ("a",), np.array([[1.0]]), ("a",))
         dio.save_prediction(pred, "czsr", tmp_path / "pred.json")
@@ -516,6 +617,17 @@ class TestPreinspectCommand:
         flagged = {(f["class_i"], f["class_j"]) for f in report["flagged_pairs"]}
         # generic class ids: the matrices carry no names
         assert flagged == {("u0000", "u0001"), ("u0002", "u0003")}
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_bad_epsilon_exits_2(self, tmp_path, capsys, epsilon):
+        dio.save_matrix(np.eye(3, 2), tmp_path / "ks.dmx")
+        dio.save_matrix(np.ones((3, 2)), tmp_path / "ku.dmx")
+        code = main(["preinspect", "--kseen", str(tmp_path / "ks.dmx"),
+                     "--kunseen", str(tmp_path / "ku.dmx"),
+                     f"--epsilon={epsilon}", "--out", str(tmp_path / "defects.json")])
+        assert code == 2
+        assert one_json_error(capsys) == "ValidationError"
+        assert not (tmp_path / "defects.json").exists()
 
 
 class TestCmCommand:

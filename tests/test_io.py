@@ -134,6 +134,15 @@ class TestMatrixFormat:
         with pytest.raises(ParseError):
             load_matrix(path)
 
+    @pytest.mark.parametrize("rows", ["1_0", "\u0661\u0660", "+10"])
+    def test_header_shape_must_be_ascii_decimal_digits(self, tmp_path, rows):
+        # int() reads each of these as 10, the body's row count.
+        path = tmp_path / "m.dmx"
+        path.write_text(f"dmap-matrix 1 {rows} 1\n" + "0.5\n" * 10, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(path)
+        assert exc.value.line == 1
+
     def test_declared_rows_must_match_body(self, tmp_path):
         path = tmp_path / "m.dmx"
         path.write_text(
@@ -380,8 +389,9 @@ class TestModelDirectories:
         save_model(model, tmp_path / "model")
         loaded = load_model(tmp_path / "model")
 
-        assert np.array_equal(loaded.f_s.data, model.f_s.data)
-        assert np.array_equal(loaded.f_tilde.data, model.f_tilde.data)
+        assert np.array_equal(loaded.f_s, model.f_s)
+        assert np.array_equal(loaded.f_tilde, model.f_tilde)
+        assert not (loaded.f_s.flags.writeable or loaded.f_tilde.flags.writeable)
         assert np.array_equal(loaded.k_tilde_s.data, model.k_tilde_s.data)
         assert loaded.k_tilde_s.class_ids == model.k_tilde_s.class_ids
         assert loaded.config == model.config

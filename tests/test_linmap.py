@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dmap.errors import DimensionMismatch, SingularSystem, ValidationError
 from dmap.linmap import (
-    MapMatrix,
+    COND_LIMIT,
     predict_semantic,
     ridge_objective,
     solve_ridge_map,
@@ -49,18 +49,18 @@ def random_problem(rng, d=None, n=None, p=None, k=None):
 class TestClosedForm:
     def test_identity_system(self):
         V = solve_ridge_map(np.eye(2), np.eye(2), np.eye(2), 0.0, 0.0)
-        np.testing.assert_allclose(V.data, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(V, np.eye(2), atol=1e-12)
 
     def test_identity_system_with_shrinkage(self):
         V = solve_ridge_map(np.eye(2), np.eye(2), np.eye(2), 1.0, 0.0)
-        np.testing.assert_allclose(V.data, 0.5 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(V, 0.5 * np.eye(2), atol=1e-12)
 
     def test_matches_kronecker_oracle(self, rng):
         for trial in range(25):
             X, K, Y = random_problem(rng)
             gamma = float(rng.choice([1e-2, 1e-1, 1.0, 10.0]))
             eta = float(rng.choice([1e-2, 1e-1, 1.0, 10.0]))
-            V = solve_ridge_map(X, K, Y, gamma, eta).data
+            V = solve_ridge_map(X, K, Y, gamma, eta)
             V_star = kron_normal_equation_oracle(X, K, Y, gamma, eta)
             err = np.linalg.norm(V - V_star) / np.linalg.norm(V_star)
             assert err <= 1e-8, f"trial {trial}: oracle mismatch {err:.2e}"
@@ -73,20 +73,20 @@ class TestClosedForm:
         labels = rng.integers(0, 3, size=5)
         Y = np.full((5, 3), -1.0)
         Y[np.arange(5), labels] = 1.0
-        V = solve_ridge_map(X, K, Y, 0.5, 0.25).data
+        V = solve_ridge_map(X, K, Y, 0.5, 0.25)
         V_star = kron_normal_equation_oracle(X, K, Y, 0.5, 0.25)
         np.testing.assert_allclose(V, V_star, rtol=1e-9, atol=1e-12)
 
     def test_stationarity_residual_vanishes(self, rng):
         for _ in range(10):
             X, K, Y = random_problem(rng)
-            V = solve_ridge_map(X, K, Y, 0.3, 0.7).data
+            V = solve_ridge_map(X, K, Y, 0.3, 0.7)
             res = stationarity_residual(V, X, K, Y, 0.3, 0.7)
             assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(V)
 
     def test_perturbation_never_improves(self, rng):
         X, K, Y = random_problem(rng, d=5, n=14, p=4, k=3)
-        V = solve_ridge_map(X, K, Y, 0.2, 0.4).data
+        V = solve_ridge_map(X, K, Y, 0.2, 0.4)
         base = ridge_objective(V, X, K, Y, 0.2, 0.4)
         for _ in range(20):
             delta = rng.normal(size=V.shape)
@@ -97,12 +97,12 @@ class TestClosedForm:
         X, K, Y = random_problem(rng, d=6, n=20, p=5, k=4)
         for grid, fixed_eta in (( [1e-3, 1e-1, 10.0, 1e3], 0.5 ),):
             norms = [
-                np.linalg.norm(solve_ridge_map(X, K, Y, g, fixed_eta).data @ K)
+                np.linalg.norm(solve_ridge_map(X, K, Y, g, fixed_eta) @ K)
                 for g in grid
             ]
             assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
         norms_eta = [
-            np.linalg.norm(X.T @ solve_ridge_map(X, K, Y, 0.5, e).data)
+            np.linalg.norm(X.T @ solve_ridge_map(X, K, Y, 0.5, e))
             for e in [1e-3, 1e-1, 10.0, 1e3]
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms_eta, norms_eta[1:]))
@@ -125,44 +125,56 @@ class TestClosedForm:
         with pytest.raises(SingularSystem):
             solve_ridge_map(X, K, Y, 0.0, 0.1)
 
-    def test_cond_limit_configurable(self, rng):
-        X, K, Y = random_problem(rng, d=4, n=12, p=3, k=3)
-        with pytest.raises(SingularSystem):
-            solve_ridge_map(X, K, Y, 1e-12, 0.1, cond_limit=1.0)
+    def test_condition_above_the_limit_refused(self):
+        # X X^T = diag(1, 1e-13): finite and nonsingular, but its condition
+        # number 1e13 lies above COND_LIMIT.
+        X = np.diag([1.0, 10.0 ** -6.5])
+        assert COND_LIMIT < np.linalg.cond(X @ X.T) < np.inf
+        with pytest.raises(SingularSystem, match="condition"):
+            solve_ridge_map(X, np.eye(2), np.eye(2), 0.0, 0.1)
+        solve_ridge_map(X, np.eye(2), np.eye(2), 1e-3, 0.1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, np.inf, np.nan])
+    def test_non_finite_gram_refused(self, scale):
+        # 1e200-scale features are finite, but their Gram matrix overflows.
+        X = np.array([[scale, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        K = np.eye(2)
+        Y = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(SingularSystem, match="non-finite"):
+            solve_ridge_map(X, K, Y, 1.0, 1.0)
+        with pytest.raises(SingularSystem, match="non-finite"):
+            solve_ridge_map(np.eye(3), K, Y, np.nan, 1.0)
 
-class TestMapMatrix:
-    def test_records_dimensions_and_regularisers(self, rng):
-        V = MapMatrix(rng.normal(size=(4, 3)), gamma=0.1, eta=0.2)
-        assert (V.d, V.p, V.gamma, V.eta) == (4, 3, 0.1, 0.2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            MapMatrix(np.array([[np.inf]]), 0.0, 0.0)
+    def test_returns_a_read_only_c_contiguous_array(self, rng):
+        # p <= k takes the branch whose solve returns a transposed array.
+        for p, k in ((3, 2), (2, 3)):
+            X, K, Y = random_problem(rng, d=4, n=10, p=p, k=k)
+            V = solve_ridge_map(X, K, Y, 0.1, 0.2)
+            assert type(V) is np.ndarray and V.dtype == np.float64 and V.shape == (4, p)
+            assert V.flags.c_contiguous and not V.flags.writeable
 
 
 class TestPredictSemantic:
     def test_identity_map_returns_inputs(self, rng):
         X = rng.normal(size=(3, 5))
-        V = MapMatrix(np.eye(3), 0.0, 0.0)
-        np.testing.assert_array_equal(predict_semantic(V, X), X)
+        np.testing.assert_array_equal(predict_semantic(np.eye(3), X), X)
 
     def test_zero_map_returns_zero(self, rng):
         X = rng.normal(size=(3, 5))
-        V = MapMatrix(np.zeros((3, 2)), 0.0, 0.0)
-        assert not np.any(predict_semantic(V, X))
+        assert not np.any(predict_semantic(np.zeros((3, 2)), X))
 
     def test_matches_triple_loop_oracle(self, rng):
-        V = MapMatrix(rng.normal(size=(4, 3)), 0.0, 0.0)
+        V = rng.normal(size=(4, 3))
         X = rng.normal(size=(4, 6))
         out = predict_semantic(V, X)
         for i in range(3):
             for j in range(6):
-                expect = sum(V.data[t, i] * X[t, j] for t in range(4))
+                expect = sum(V[t, i] * X[t, j] for t in range(4))
                 assert abs(out[i, j] - expect) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
-        V = MapMatrix(rng.normal(size=(4, 3)), 0.0, 0.0)
+        V = rng.normal(size=(4, 3))
         with pytest.raises(DimensionMismatch):
             predict_semantic(V, rng.normal(size=(5, 2)))
 
@@ -186,6 +198,6 @@ def test_closed_form_property(d, p, seed, log_gamma, log_eta):
     Y = np.full((n, k), -1.0)
     Y[np.arange(n), labels] = 1.0
     gamma, eta = 10.0 ** log_gamma, 10.0 ** log_eta
-    V = solve_ridge_map(X, K, Y, gamma, eta).data
+    V = solve_ridge_map(X, K, Y, gamma, eta)
     V_star = kron_normal_equation_oracle(X, K, Y, gamma, eta)
     assert np.linalg.norm(V - V_star) <= 1e-8 * max(np.linalg.norm(V_star), 1e-30)

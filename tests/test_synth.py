@@ -114,6 +114,16 @@ class TestSynthConfigValidation:
         with pytest.raises(ValidationError, match=field):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+        ("irc_distortion", float("nan")),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = dict(d=8, p=4, k=5, l=3, n_per_class=2)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SynthConfig(**kwargs)
+
 
 class TestDeterminism:
     def test_equal_seeds_give_bitwise_equal_worlds(self):

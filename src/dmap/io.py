@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 import json
+import zlib
 from dataclasses import fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,35 +50,39 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _open_text(path: Path, mode: str):
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8", newline="")
-    return open(path, mode, encoding="utf-8", newline="")
-
-
 def save_matrix(matrix, path) -> None:
     """Write a 2-D array in the text matrix format (gzip if ``*.gz``)."""
-    arr = np.atleast_2d(as_array(matrix))
+    arr = np.atleast_2d(np.asarray(as_array(matrix), dtype=np.float64))
     if arr.ndim != 2:
         raise ValidationError(f"matrix files hold 2-D arrays, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix files hold finite doubles only")
     path = Path(path)
     rows, cols = arr.shape
-    with _open_text(path, "w") as fh:
-        fh.write(f"{MATRIX_MAGIC} {MATRIX_VERSION} {rows} {cols}\n")
-        for i in range(rows):
-            fh.write(" ".join(_fmt(v) for v in arr[i]))
-            fh.write("\n")
+    with open(path, "wb") as raw:
+        # For gzip, an empty name and mtime 0 keep the file name and the
+        # clock out of the header, so equal matrices give equal bytes.
+        stream = (gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+                  if path.suffix == ".gz" else raw)
+        with stream, io.TextIOWrapper(stream, encoding="utf-8", newline="") as fh:
+            fh.write(f"{MATRIX_MAGIC} {MATRIX_VERSION} {rows} {cols}\n")
+            # One row at a time: a whole-matrix tolist() would hold every
+            # value as a Python float at once.
+            for row in arr:
+                fh.write(" ".join(map(repr, row.tolist())))
+                fh.write("\n")
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a text matrix file back into a float64 array."""
     path = Path(path)
+    opener = gzip.open if path.suffix == ".gz" else open
     try:
-        with _open_text(path, "r") as fh:
+        with opener(path, "rt", encoding="utf-8", newline="") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        # A truncated gzip stream ends in EOFError, a corrupted one in
+        # zlib.error; neither is an OSError.
         raise ParseError(f"cannot read {path}: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -92,7 +98,10 @@ def load_matrix(path) -> np.ndarray:
     # int() also reads "+1", "1_0" and non-ASCII digits.
     if not all(tok.isascii() and tok.isdigit() for tok in header[2:]):
         raise ParseError(f"shape in header is not two decimal integers: {lines[0]!r}", line=1)
-    rows, cols = int(header[2]), int(header[3])
+    try:
+        rows, cols = int(header[2]), int(header[3])
+    except ValueError:  # more digits than int() converts from text
+        raise ParseError("shape in header has too many digits", line=1) from None
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix shape must be positive, got {rows}x{cols}", line=1)
     body = lines[1:]
@@ -100,9 +109,15 @@ def load_matrix(path) -> np.ndarray:
         raise ShapeMismatch(
             f"header declares {rows} rows but body has {len(body)} lines"
         )
+    # Each value takes at least one character, so this bounds the
+    # allocation below by the file's own size.
+    if rows * cols > len(text):
+        raise ShapeMismatch(f"header declares {rows}x{cols} values, more than "
+                            f"the file's {len(text)} characters can hold")
     out = np.empty((rows, cols))
     for i, line in enumerate(body):
         tokens = line.split()
+        # Checked before the row assignment, which would broadcast one token.
         if len(tokens) != cols:
             raise ShapeMismatch(
                 f"row {i + 1} has {len(tokens)} values, expected {cols} (line {i + 2})"
@@ -112,6 +127,13 @@ def load_matrix(path) -> np.ndarray:
             for j, tok in enumerate(tokens):
                 if "_" in tok or not tok.isascii():
                     raise ParseError(f"bad float {tok!r}", line=i + 2, column=j + 1)
+        try:
+            out[i] = tokens  # NumPy calls float() on each token
+            if np.isfinite(out[i]).all():
+                continue
+        except ValueError:
+            pass
+        # A bad or non-finite token: find it, for its line and column.
         for j, tok in enumerate(tokens):
             try:
                 v = float(tok)
@@ -132,13 +154,17 @@ def _load_json(path):
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer of more digits than int() converts, or nesting
+        # deeper than the decoder's recursion limit.
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
 
 
 def save_split(split: ClassSplit, path) -> None:
@@ -243,7 +269,7 @@ def prediction_to_dict(prediction: Prediction, mode: str) -> dict:
         "instance_ids": list(prediction.instance_ids),
         "predicted": list(prediction.predicted_class),
         "candidates": list(prediction.candidate_ids),
-        "scores": [[float(v) for v in row] for row in prediction.score_matrix],
+        "scores": np.asarray(prediction.score_matrix, dtype=np.float64).tolist(),
     }
 
 

@@ -2,11 +2,15 @@
 ``main(argv)``: every command, the documented exit codes, and output
 determinism."""
 
+import contextlib
+import gzip
+import io
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmap import io as dio
 from dmap.cli import main
@@ -697,3 +701,158 @@ class TestExitCodes:
         cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=1)
         assert main(["--threads", "2", "synth", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 0
+
+
+# --- malformed bytes and fuzzed inputs ----------------------------------------
+
+@pytest.fixture(scope="module")
+def small_world(tmp_path_factory):
+    """File name -> bytes of valid inputs for ``preinspect``, ``cm`` and ``eval``."""
+    from dmap.synth import SynthConfig, generate
+
+    ds = generate(SynthConfig(d=6, p=3, k=4, l=2, n_per_class=2, seed=0))
+    tmp = tmp_path_factory.mktemp("small_world")
+    dio.save_matrix(ds.embeddings.subset(ds.split.seen), tmp / "ks.dmx")
+    dio.save_matrix(ds.embeddings.subset(ds.split.unseen), tmp / "ku.dmx.gz")
+    dio.save_matrix(np.concatenate([ds.train.features.data, ds.test_features.data], axis=1),
+                    tmp / "features.dmx")
+    dio.save_labels(tuple(ds.train.labels) + tuple(ds.test_labels), tmp / "labels.json")
+    dio.save_split(ds.split, tmp / "split.json")
+    dio.save_matrix(ds.embeddings.subset(ds.split.seen + ds.split.unseen), tmp / "emb.dmx")
+    dio.save_prediction(Prediction(("x0", "x1"), ("a", "b"), np.eye(2), ("a", "b")),
+                        "czsr", tmp / "pred.json")
+    dio.save_labels(["a", "b"], tmp / "truth.json")
+    return {path.name: path.read_bytes() for path in tmp.iterdir()}
+
+
+#: The files each command reads, by flag.
+WORLD_INPUTS = {
+    "preinspect": {"--kseen": "ks.dmx", "--kunseen": "ku.dmx.gz"},
+    "cm": {"--features": "features.dmx", "--labels": "labels.json",
+           "--split": "split.json", "--embeddings": "emb.dmx"},
+    "eval": {"--pred": "pred.json", "--truth": "truth.json"},
+}
+
+
+def world_argv(command, directory, flags=()):
+    argv = [command, "--out", str(directory / "out.json"), *flags]
+    for flag, name in WORLD_INPUTS[command].items():
+        argv += [flag, str(directory / name)]
+    return argv
+
+
+def write_world(world, directory, **replaced):
+    for name, raw in {**world, **replaced}.items():
+        (directory / name).write_bytes(raw)
+
+
+def reserved_block_type(raw):
+    """The gzip file ``raw`` with a first deflate block of the reserved type."""
+    stream = gzip.compress(gzip.decompress(raw), mtime=0)  # a 10-byte header
+    return stream[:10] + b"\xff" + stream[11:]
+
+
+@pytest.mark.parametrize("command, name, corrupt, error, names_file", [
+    # a byte that is not UTF-8, in a matrix, a labels, a split and a prediction file
+    ("preinspect", "ks.dmx", lambda raw: raw.replace(b"\n", b"\n\xff", 1), "ParseError", True),
+    ("cm", "labels.json", lambda raw: raw.replace(b'"', b'"\xff', 1), "ParseError", True),
+    ("cm", "split.json", lambda raw: raw.replace(b'"', b'"\xff', 1), "ParseError", True),
+    ("eval", "pred.json", lambda raw: raw.replace(b'"', b'"\xff', 1), "ParseError", True),
+    # a truncated gzip stream, and one whose first deflate block has the reserved type
+    ("preinspect", "ku.dmx.gz", lambda raw: raw[:-12], "ParseError", True),
+    ("preinspect", "ku.dmx.gz", reserved_block_type, "ParseError", True),
+    # JSON outside what the decoder converts: a 5000-digit integer and
+    # nesting deeper than the recursion limit
+    ("cm", "labels.json", lambda raw: b"[" + b"7" * 5000 + b"]", "ParseError", True),
+    ("eval", "truth.json", lambda raw: b"[" * 100000, "ParseError", True),
+    # header shapes that int() refuses or that no allocation could hold
+    ("preinspect", "ks.dmx", lambda raw: b"dmap-matrix 1 " + b"1" * 5000 + b" 1\n1\n",
+     "ParseError", False),
+    ("preinspect", "ks.dmx", lambda raw: b"dmap-matrix 1 1 99999999999999\n1\n",
+     "ShapeMismatch", False),
+], ids=["matrix-not-utf8", "labels-not-utf8", "split-not-utf8", "prediction-not-utf8",
+        "gzip-truncated", "gzip-corrupted", "json-huge-integer", "json-deep-nesting",
+        "header-huge-integer", "header-huge-shape"])
+def test_malformed_bytes_exit_4(small_world, tmp_path, capsys, command, name, corrupt, error,
+                                names_file):
+    write_world(small_world, tmp_path, **{name: corrupt(small_world[name])})
+    assert main(world_argv(command, tmp_path)) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == error
+    assert (name in err["message"]) is names_file
+    assert not (tmp_path / "out.json").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+#: Random bytes, or the characters that matrix and JSON files are made of.
+FILE_CHUNKS = st.binary(min_size=1, max_size=4) | st.text(
+    alphabet=" \t\n0123456789.-+eE_,:[]{}\"naif", min_size=1, max_size=4).map(str.encode)
+
+
+def mutated_bytes(data, raw):
+    """``raw`` with a drawn chunk replaced, inserted, deleted or cut off."""
+    i = data.draw(st.integers(0, len(raw)), label="offset")
+    op = data.draw(st.sampled_from(["replace", "insert", "delete", "truncate"]), label="op")
+    if op == "truncate":
+        return raw[:i]
+    if op == "delete":
+        return raw[:i] + raw[i + data.draw(st.integers(1, 8), label="length"):]
+    chunk = data.draw(FILE_CHUNKS, label="chunk")
+    return raw[:i] + chunk + raw[i + (len(chunk) if op == "replace" else 0):]
+
+
+def mutated_json(data, raw):
+    """``raw`` with one value, at a drawn path, replaced by a drawn JSON value."""
+    obj = json.loads(raw)
+    holder, key = None, None
+    node = obj
+    while isinstance(node, (list, dict)) and node and data.draw(st.booleans(), label="deeper"):
+        holder, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                      else range(len(node))), label="key")
+        node = holder[key]
+    value = data.draw(JSON_VALUES, label="value")
+    if holder is None:
+        obj = value
+    else:
+        holder[key] = value
+    return json.dumps(obj).encode()  # NaN and Infinity included
+
+
+FLAG_VALUES = {
+    "preinspect": lambda data: [f"--epsilon={data.draw(st.floats(), label='epsilon')!r}"],
+    "cm": lambda data: [f"--lambda={data.draw(st.floats(), label='lambda')!r}"],
+    "eval": lambda data: [
+        f"--topk={data.draw(st.text(alphabet='0123456789,-+ x', max_size=6), label='topk')}",
+        f"--mode={data.draw(st.sampled_from(['czsr', 'gzsr']), label='mode')}",
+    ],
+}
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_fuzzed_files_and_flags_exit_0_2_3_or_4(small_world, tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(WORLD_INPUTS)), label="command")
+    name = data.draw(st.sampled_from(sorted(WORLD_INPUTS[command].values())), label="file")
+    raw = small_world[name]
+    if name.endswith(".json") and data.draw(st.booleans(), label="as JSON"):
+        raw = mutated_json(data, raw)
+    elif data.draw(st.booleans(), label="mutate"):
+        raw = mutated_bytes(data, raw)
+    flags = FLAG_VALUES[command](data) if data.draw(st.booleans(), label="flags") else []
+    stderr = io.StringIO()
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_world(small_world, directory, **{name: raw})
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(world_argv(command, directory, flags))
+    assert code in (0, 2, 3, 4)
+    if code:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}

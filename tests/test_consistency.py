@@ -18,7 +18,7 @@ from dmap.consistency import (
 )
 from dmap.core import PrototypeSet, class_mean_prototypes
 from dmap.errors import DimensionMismatch, SingularSystem, ValidationError
-from dmap.linmap import predict_semantic, solve_ridge_map
+from dmap.linmap import predict_semantic
 from dmap.model import train
 from dmap.synth import PortableRng, defect_setup, exact_recovery_setup, generate
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dmap.errors import MissingInstance, UnknownClass, ValidationError
-from dmap.evaluation import EvalReport, evaluate
+from dmap.evaluation import evaluate
 from dmap.model import GZSR, Prediction
 
 

@@ -6,8 +6,10 @@ deterministic bytes.  Both promises are checked literally.
 """
 
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,6 +91,19 @@ class TestMatrixFormat:
         save_matrix(values, path)
         assert path.read_bytes()[:2] == b"\x1f\x8b"  # gzip magic
         assert np.array_equal(load_matrix(path), values)
+
+    def test_gzip_writes_are_deterministic(self, tmp_path):
+        # The gzip header has fields for the file name and the write time.
+        a, b = tmp_path / "a.dmx.gz", tmp_path / "other_name.dmx.gz"
+        save_matrix(np.eye(2), a)
+        time.sleep(1.1)
+        save_matrix(np.eye(2), b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_integer_data_is_written_as_doubles(self, tmp_path):
+        path = tmp_path / "m.dmx"
+        save_matrix(SimpleNamespace(data=np.array([[0, 1]])), path)
+        assert path.read_text() == "dmap-matrix 1 1 2\n0.0 1.0\n"
 
     def test_accepts_wrapper_objects(self, tmp_path):
         fm = FeatureMatrix(np.arange(6.0).reshape(2, 3))
@@ -203,6 +218,84 @@ class TestMatrixFormat:
             assert np.array_equal(
                 load_matrix(path).view(np.uint64), arr.view(np.uint64)
             )
+
+
+def per_token_rows(body, cols):
+    """The reference row parse: one ``float()`` per token, row by row."""
+    out = np.empty((len(body), cols))
+    for i, line in enumerate(body):
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise ShapeMismatch(
+                f"row {i + 1} has {len(tokens)} values, expected {cols} (line {i + 2})"
+            )
+        if "_" in line or not line.isascii():
+            for j, tok in enumerate(tokens):
+                if "_" in tok or not tok.isascii():
+                    raise ParseError(f"bad float {tok!r}", line=i + 2, column=j + 1)
+        for j, tok in enumerate(tokens):
+            try:
+                v = float(tok)
+            except ValueError:
+                raise ParseError(f"bad float {tok!r}", line=i + 2, column=j + 1) from None
+            if not np.isfinite(v):
+                raise ParseError(f"non-finite value {tok!r}", line=i + 2, column=j + 1)
+            out[i, j] = v
+    return out
+
+
+TOKENS = st.one_of(
+    st.floats(width=64).map(repr),  # also nan, inf, -0.0
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308).map(repr),  # subnormals
+    st.sampled_from([
+        ".5", "5.", "+1", "-0.0", "5e-324", "1e400", "-1e400", "1e-400", "inf", "-Infinity",
+        "nan", "0x1p3", "1e", "1,5", "1_0", "e5", ".", "-", "0.1f",
+    ]),
+)
+
+
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+EDGES = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def matrix_bodies(draw):
+    """A declared column count and body lines, mostly of that many tokens.
+
+    At most 6 rows of at most 4 columns: the header then never declares
+    more values than the file has characters, a check made before any
+    row is read."""
+    cols = draw(st.integers(1, 4))
+    body = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.sampled_from([cols] * 6 + [0, 1, cols + 1]))
+        tokens = draw(st.lists(TOKENS, min_size=width, max_size=width))
+        line = draw(EDGES)
+        for j, token in enumerate(tokens):
+            line += (draw(SEPARATORS) if j else "") + token
+        body.append(line + draw(EDGES))
+    return cols, body
+
+
+def parse_outcome(parse):
+    """The parsed bits, or the error's type, message, line and column."""
+    try:
+        return parse().view(np.uint64).tolist()
+    except (ParseError, ShapeMismatch) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@given(matrix_bodies())
+def test_row_conversion_matches_per_token_parse(cols_and_body):
+    import tempfile
+
+    cols, body = cols_and_body
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.dmx"
+        header = f"dmap-matrix 1 {len(body)} {cols}\n"
+        path.write_text(header + "".join(line + "\n" for line in body), encoding="ascii")
+        assert parse_outcome(lambda: load_matrix(path)) == parse_outcome(
+            lambda: per_token_rows(body, cols))
 
 
 class TestSplitAndLabels:

@@ -13,13 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap.core import (
-    ClassSplit,
-    EmbeddingMatrix,
-    FeatureMatrix,
-    LabeledDataset,
-    class_mean_prototypes,
-)
+from dmap.core import EmbeddingMatrix, class_mean_prototypes
 from dmap.errors import DimensionMismatch, EmptyTestSet, ValidationError
 from dmap.linmap import predict_semantic, solve_ridge_map
 from dmap.model import (

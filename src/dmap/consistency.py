@@ -152,19 +152,21 @@ def consistency_report(features, labels, split, embeddings, lam: float) -> tuple
     return consistency_measure(seen, R_x, R_k), irc_gap(seen, R_x, R_k)
 
 
-def project_onto_seen_span(K_s, k_u) -> np.ndarray:
-    """Orthogonal projection ``u`` of one embedding onto the span of the
-    seen ones; ``k_u - u`` is orthogonal to that span.
+def project_onto_seen_span(K_s, K_u) -> np.ndarray:
+    """Orthogonal projections ``U`` of the unseen embeddings (``p x l``, or
+    one vector of length ``p``) onto the span of the seen ones; each
+    ``K_u - U`` column is orthogonal to that span.
 
-    Uses the minimum-norm least-squares solution, so rank-deficient seen
-    embeddings are handled; the projection ``u`` itself is unique either
-    way.
+    One minimum-norm least-squares solve covers every column, so
+    rank-deficient seen embeddings are handled; the projections
+    themselves are unique either way.
     """
-    Ks = as_array(K_s)
-    t = np.asarray(as_array(k_u), dtype=np.float64).reshape(-1)
-    if Ks.shape[0] != t.shape[0]:
-        raise DimensionMismatch(f"embeddings have dim {Ks.shape[0]}, target has dim {t.shape[0]}")
-    alpha, *_ = np.linalg.lstsq(Ks, t, rcond=None)
+    Ks, Ku = as_array(K_s), as_array(K_u)
+    if Ks.shape[0] != Ku.shape[0]:
+        raise DimensionMismatch(
+            f"seen embeddings have dim {Ks.shape[0]}, unseen have dim {Ku.shape[0]}"
+        )
+    alpha, *_ = np.linalg.lstsq(Ks, Ku, rcond=None)
     return Ks @ alpha
 
 
@@ -180,31 +182,25 @@ def preinspect(K_s, K_u, epsilon: float | None = None) -> DefectReport:
     nonnegative absolute value to override.  Classes are named by the
     ``class_ids`` of ``K_u``, or ``u0000, u0001, ...`` for a plain array.
     """
-    Ks, Ku = as_array(K_s), as_array(K_u)
-    if Ks.shape[0] != Ku.shape[0]:
-        raise DimensionMismatch(
-            f"seen embeddings have dim {Ks.shape[0]}, unseen have dim {Ku.shape[0]}"
-        )
+    U = project_onto_seen_span(K_s, K_u)
     if epsilon is not None and not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValidationError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     class_ids = _class_ids(K_u, "u")
-    l = Ku.shape[1]
-    projections = np.stack(
-        [project_onto_seen_span(Ks, Ku[:, j]) for j in range(l)], axis=1
-    )
-    dist = np.zeros((l, l))
+    l = U.shape[1]
+    # One row per class: every entry is the same columnwise sum in the same
+    # order, so the table is exactly symmetric with an exactly zero diagonal.
+    dist = np.empty((l, l))
     for i in range(l):
-        for j in range(i + 1, l):
-            dist[i, j] = dist[j, i] = np.linalg.norm(projections[:, i] - projections[:, j])
+        dist[i] = np.linalg.norm(U - U[:, [i]], axis=0)
+    rows, cols = np.triu_indices(l, k=1)
+    off_diag = dist[rows, cols]
     if epsilon is None:
-        off_diag = dist[np.triu_indices(l, k=1)]
         median = float(np.median(off_diag)) if off_diag.size else 0.0
         epsilon = RELATIVE_EPSILON * median
+    hit = off_diag <= epsilon
     flagged = tuple(
-        (class_ids[i], class_ids[j], float(dist[i, j]))
-        for i in range(l)
-        for j in range(i + 1, l)
-        if dist[i, j] <= epsilon
+        (class_ids[i], class_ids[j], float(d))
+        for i, j, d in zip(rows[hit], cols[hit], off_diag[hit])
     )
     return DefectReport(
         pairwise_distances=dist,

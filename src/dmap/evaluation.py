@@ -89,14 +89,14 @@ def evaluate(prediction: Prediction, ground_truth: Sequence,
         raise UnknownClass(f"ground-truth classes missing from candidates: {bad}")
 
     scores = as_array(prediction.score_matrix)
-    n = len(truth)
     c = len(candidates)
+    true_idx = np.array([cand_index[cls] for cls in truth], dtype=np.intp)
+    pred_idx = np.array([cand_index[cls] for cls in prediction.predicted_class], dtype=np.intp)
 
     confusion = np.zeros((c, c), dtype=np.int64)
-    for i in range(n):
-        confusion[cand_index[truth[i]], cand_index[prediction.predicted_class[i]]] += 1
+    np.add.at(confusion, (true_idx, pred_idx), 1)
 
-    present = sorted({cand_index[cls] for cls in truth})
+    present = np.unique(true_idx)
     per_class = {}
     for j in present:
         total = confusion[j].sum()
@@ -110,12 +110,9 @@ def evaluate(prediction: Prediction, ground_truth: Sequence,
     ks = sorted({int(k) for k in ks})
     if any(k < 1 for k in ks):
         raise ValidationError("top-k cutoffs must be >= 1")
-    ranks = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        t = cand_index[truth[i]]
-        col = scores[:, i]
-        better = np.sum(col > col[t]) + np.sum(col[:t] == col[t])
-        ranks[i] = better  # 0-based rank
+    true_scores = scores[true_idx, np.arange(len(truth))]
+    lower_index = np.arange(c)[:, None] < true_idx
+    ranks = np.sum((scores > true_scores) | ((scores == true_scores) & lower_index), axis=0)
     for k in ks:
         top_k[k] = float(np.mean(ranks < k))
 

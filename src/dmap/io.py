@@ -287,12 +287,16 @@ def load_prediction(path) -> tuple[Prediction, str]:
     candidates = _ids(obj["candidates"], "candidates", path)
     try:
         scores = np.asarray(obj["scores"], dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"prediction scores are not a rectangular table of numbers: {path}") from None
     if len(predicted) != len(instance_ids) or scores.shape != (len(candidates), len(instance_ids)):
         raise ParseError(f"prediction has {len(instance_ids)} instance ids, {len(predicted)} "
                          f"predicted ids and scores of shape {scores.shape} for "
                          f"{len(candidates)} candidates: {path}")
+    # The table is now a list of rows of JSON scalars that converted to doubles;
+    # NaN, Infinity, true and false would have converted too.
+    if not np.all(np.isfinite(scores)) or any(bool in map(type, row) for row in obj["scores"]):
+        raise ParseError(f"prediction scores must be finite numbers: {path}")
     if len(set(candidates)) != len(candidates):
         raise ParseError(f"prediction candidates are not unique: {path}")
     unknown = set(predicted) - set(candidates)

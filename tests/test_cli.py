@@ -770,9 +770,17 @@ def reserved_block_type(raw):
      "ParseError", False),
     ("preinspect", "ks.dmx", lambda raw: b"dmap-matrix 1 1 99999999999999\n1\n",
      "ShapeMismatch", False),
+    # prediction scores that are valid JSON but not finite doubles
+    ("eval", "pred.json", lambda raw: raw.replace(b"1.0", b"NaN", 1).replace(
+        b"1.0", b"-Infinity", 1), "ParseError", True),
+    ("eval", "pred.json", lambda raw: raw.replace(b"0.0", b"true", 1).replace(
+        b"0.0", b"false", 1), "ParseError", True),
+    ("eval", "pred.json", lambda raw: raw.replace(b"1.0", b"1" + b"0" * 400, 1),
+     "ParseError", True),
 ], ids=["matrix-not-utf8", "labels-not-utf8", "split-not-utf8", "prediction-not-utf8",
         "gzip-truncated", "gzip-corrupted", "json-huge-integer", "json-deep-nesting",
-        "header-huge-integer", "header-huge-shape"])
+        "header-huge-integer", "header-huge-shape", "prediction-nonfinite", "prediction-bool",
+        "prediction-overflow"])
 def test_malformed_bytes_exit_4(small_world, tmp_path, capsys, command, name, corrupt, error,
                                 names_file):
     write_world(small_world, tmp_path, **{name: corrupt(small_world[name])})

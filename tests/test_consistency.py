@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmap.consistency import (
+    RELATIVE_EPSILON,
     build_relationship_matrix,
     consistency_measure,
     consistency_report,
@@ -61,6 +62,31 @@ def extract(P, t, lam):
     R = build_relationship_matrix(protos(P), protos(t.reshape(-1, 1), ("u",)), lam)
     assert R.shape == (np.shape(P)[1], 1)
     return R[:, 0]
+
+
+def percolumn_preinspect(K_s, K_u, epsilon=None):
+    """Pre-inspection with one ``lstsq`` per unseen class and one norm per
+    pair: ``(distances, flagged index pairs, epsilon)``."""
+    l = K_u.shape[1]
+    proj = np.stack(
+        [K_s @ np.linalg.lstsq(K_s, K_u[:, j], rcond=None)[0] for j in range(l)], axis=1
+    )
+    dist = np.zeros((l, l))
+    for i in range(l):
+        for j in range(i + 1, l):
+            dist[i, j] = dist[j, i] = np.linalg.norm(proj[:, i] - proj[:, j])
+    if epsilon is None:
+        off_diag = dist[np.triu_indices(l, k=1)]
+        epsilon = RELATIVE_EPSILON * (float(np.median(off_diag)) if off_diag.size else 0.0)
+    flagged = [(i, j) for i in range(l) for j in range(i + 1, l) if dist[i, j] <= epsilon]
+    return dist, flagged, epsilon
+
+
+def lstsq_rounding(K_s):
+    """``1e-14`` times the condition number of ``K_s`` on its numerical rank:
+    the relative bound allowed between two least-squares projections."""
+    _, _, rank, sv = np.linalg.lstsq(K_s, np.zeros(K_s.shape[0]), rcond=None)
+    return 1e-14 * sv[0] / sv[rank - 1]
 
 
 class TestExtractRelationship:
@@ -270,6 +296,19 @@ class TestProjection:
             col = K_s[:, j]
             assert abs(v @ col) <= 1e-8 * np.linalg.norm(v) * np.linalg.norm(col) + 1e-12
 
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_columns_match_one_column_calls(self, p, k, l, seed):
+        rng = np.random.default_rng(seed)
+        K_s = rng.normal(size=(p, k))
+        K_u = rng.normal(size=(p, l))
+        U = project_onto_seen_span(K_s, K_u)
+        assert U.shape == (p, l)
+        for j in range(l):
+            u = project_onto_seen_span(K_s, K_u[:, j])
+            assert u.shape == (p,)
+            bound = lstsq_rounding(K_s) * np.linalg.norm(K_u[:, j])
+            np.testing.assert_allclose(U[:, j], u, rtol=0, atol=bound)
+
 
 class TestPreinspect:
     def test_orthogonal_difference_is_flagged(self):
@@ -317,6 +356,45 @@ class TestPreinspect:
             for j in range(l):
                 for t in range(l):
                     assert D[i, j] <= D[i, t] + D[t, j] + 1e-9
+
+    @given(st.integers(1, 8), st.integers(0, 8), st.integers(1, 8), st.integers(1, 6),
+           st.integers(0, 3), st.sampled_from([None, 1e-9]), st.integers(-3, 3),
+           st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_matches_percolumn_reference(self, p, extra_k, rank, l, pairs, epsilon, exponent,
+                                         weak, seed):
+        # K_s has k >= p columns, rank at most p and one direction weakened
+        # by 10^-weak; the first unseen classes come in planted pairs that
+        # share their projection.
+        rng = np.random.default_rng(seed)
+        k = p + extra_k
+        rank = min(rank, p)
+        scale = 10.0 ** exponent
+        A = rng.normal(size=(p, rank))
+        A[:, 0] *= 10.0 ** -weak
+        K_s = scale * A @ rng.normal(size=(rank, k))
+        K_u = scale * rng.normal(size=(p, l))
+        outside = np.linalg.svd(K_s)[0][:, rank:]
+        for q in range(min(pairs, l // 2)):
+            K_u[:, 2 * q + 1] = K_u[:, 2 * q] + scale * outside @ rng.normal(size=p - rank)
+        absolute = None if epsilon is None else epsilon * scale
+        dist, flagged, eps = percolumn_preinspect(K_s, K_u, absolute)
+        report = preinspect(K_s, K_u, absolute)
+        D = report.pairwise_distances
+        np.testing.assert_array_equal(np.diag(D), np.zeros(l))
+        np.testing.assert_array_equal(D, D.T)
+        # Where every pair is planted the largest distance is itself rounding
+        # noise, so the bound also scales with the largest embedding.
+        size = max(dist.max(), np.linalg.norm(K_u, axis=0).max())
+        bound = lstsq_rounding(K_s) * size
+        np.testing.assert_allclose(D, dist, rtol=0, atol=bound)
+        assert abs(report.epsilon - eps) <= RELATIVE_EPSILON * bound
+        # A pair is flagged alike unless its distance lies within the rounding
+        # bound of the threshold, as when a default epsilon is taken from a
+        # median that is itself rounding noise.
+        got = {(int(a[1:]), int(b[1:])) for a, b, _ in report.flagged_pairs}
+        for i, j in zip(*np.triu_indices(l, k=1)):
+            if abs(dist[i, j] - eps) > 2 * bound:
+                assert ((i, j) in got) == ((i, j) in flagged)
 
     def test_low_rank_span_collapses_many_distances(self):
         # A narrow seen span (10 classes) under many unseen classes (190)

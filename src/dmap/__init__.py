@@ -27,6 +27,7 @@ _EXPORTS = {
     "center_columns": "core",
     # closed-form mapping
     "solve_ridge_map": "linmap",
+    "ridge_feature_side": "linmap",
     "predict_semantic": "linmap",
     "ridge_objective": "linmap",
     "stationarity_residual": "linmap",

@@ -179,7 +179,12 @@ def preinspect(K_s, K_u, epsilon: float | None = None) -> DefectReport:
 
     When ``epsilon`` is omitted it defaults to ``1e-6`` times the median
     off-diagonal distance — the flag is then scale-free.  Pass a finite,
-    nonnegative absolute value to override.  Classes are named by the
+    nonnegative absolute value to override.  The default fails when at
+    least half of the pairs coincide (for example two classes that form
+    one defect pair): the median is then itself rounding noise, and
+    whether a pair is flagged depends on whether rounding makes its
+    distance exactly 0.  Pass ``epsilon`` explicitly for such inputs.
+    Classes are named by the
     ``class_ids`` of ``K_u``, or ``u0000, u0001, ...`` for a plain array.
     """
     U = project_onto_seen_span(K_s, K_u)

@@ -24,6 +24,10 @@ The ``K^T K + eta I`` form never touches those directions — the result
 is a combination of columns of ``K`` by construction — which keeps
 ``V^T x`` inside span(K) to machine precision, exactly as the algebra
 says it must be.
+
+The feature side ``T = (X X^T + gamma I)^-1 X Y`` depends only on ``X``,
+``Y`` and ``gamma``, so fits that differ only in ``K`` (the rounds of the
+dual-path training) compute it once with :func:`ridge_feature_side`.
 """
 
 from __future__ import annotations
@@ -67,7 +71,43 @@ def _spd_cholesky(gram: np.ndarray, reg: float, what: str):
         raise SingularSystem(f"{what}: Cholesky factorisation failed: {exc}") from exc
 
 
-def solve_ridge_map(X, K, Y, gamma: float, eta: float) -> np.ndarray:
+def _require_matrices(**arrays: np.ndarray) -> None:
+    """Refuse empty or non-2-D inputs, naming every shape."""
+    if any(a.ndim != 2 or 0 in a.shape for a in arrays.values()):
+        shapes = ", ".join(f"{name} is {a.shape}" for name, a in arrays.items())
+        raise ValidationError(f"{shapes}: each must be a non-empty 2-D matrix")
+
+
+def ridge_feature_side(X, Y, gamma: float) -> np.ndarray:
+    """The feature side ``T = (X X^T + gamma I)^-1 X Y`` of the ridge map,
+    ``d x k`` and read-only, for features ``X`` (``d x n``), the ``n x k``
+    +-1 labels ``Y`` and ``gamma >= 0``.
+
+    Pass it as ``feature_side=`` to :func:`solve_ridge_map` for every map
+    fit on the same ``X``, ``Y`` and ``gamma``.  Raises ``SingularSystem``
+    when the regularised Gram matrix is refused, as that function does.
+    """
+    X, Y = as_array(X), as_array(Y)
+    if gamma < 0:
+        raise ValidationError("gamma must be nonnegative")
+    _require_matrices(X=X, Y=Y)
+    if X.shape[1] != Y.shape[0]:
+        raise DimensionMismatch(
+            f"X is {X.shape}, Y is {Y.shape}: need X columns == Y rows"
+        )
+    d, n = X.shape
+    if d <= n:
+        cho_x = _spd_cholesky(X @ X.T, gamma, "feature Gram X X^T")
+        T = scipy.linalg.cho_solve(cho_x, X @ Y)
+    else:
+        cho_x = _spd_cholesky(X.T @ X, gamma, "feature Gram X^T X")
+        T = X @ scipy.linalg.cho_solve(cho_x, Y)
+    T.setflags(write=False)
+    return T
+
+
+def solve_ridge_map(X, K, Y, gamma: float, eta: float, *,
+                    feature_side=None) -> np.ndarray:
     """Exact minimiser of the doubly regularised ridge objective.
 
     Parameters
@@ -79,6 +119,10 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float) -> np.ndarray:
     gamma, eta : float
         Nonnegative regularisers on the feature-side and embedding-side
         Gram matrices respectively.
+    feature_side : array_like, shape (d, k), optional
+        ``ridge_feature_side(X, Y, gamma)``, computed once by the caller;
+        when omitted it is computed here.  The result is the same bytes
+        either way.
 
     Returns
     -------
@@ -95,20 +139,22 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float) -> np.ndarray:
     X, K, Y = as_array(X), as_array(K), as_array(Y)
     if gamma < 0 or eta < 0:
         raise ValidationError("gamma and eta must be nonnegative")
+    _require_matrices(X=X, K=K, Y=Y)
     if X.shape[1] != Y.shape[0] or K.shape[1] != Y.shape[1]:
         raise DimensionMismatch(
             f"X is {X.shape}, K is {K.shape}, Y is {Y.shape}: "
             "need X columns == Y rows and K columns == Y columns"
         )
     p, k = K.shape
-    d, n = X.shape
-    # Feature side first: T = (X X^T + gamma I)^-1 X Y, shape d x k.
-    if d <= n:
-        cho_x = _spd_cholesky(X @ X.T, gamma, "feature Gram X X^T")
-        T = scipy.linalg.cho_solve(cho_x, X @ Y)
+    if feature_side is None:
+        T = ridge_feature_side(X, Y, gamma)
     else:
-        cho_x = _spd_cholesky(X.T @ X, gamma, "feature Gram X^T X")
-        T = X @ scipy.linalg.cho_solve(cho_x, Y)
+        T = as_array(feature_side)
+        if T.shape != (X.shape[0], k):
+            raise DimensionMismatch(
+                f"feature_side is {T.shape}, need {(X.shape[0], k)} "
+                f"for X {X.shape} and K {K.shape}"
+            )
     # Embedding side: V = T K^T (K K^T + eta I)^-1.  In the k < p case the
     # solve happens before the final multiplication, so V's embedding-side
     # rows are combinations of K's columns by construction and the

@@ -50,7 +50,7 @@ from .errors import (
     EmptyTrainingSet,
     ValidationError,
 )
-from .linmap import predict_semantic, solve_ridge_map
+from .linmap import predict_semantic, ridge_feature_side, solve_ridge_map
 
 logger = logging.getLogger(__name__)
 
@@ -326,13 +326,16 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
         K_seen = l2_normalize_columns(K_seen)
     Y = build_label_matrix(dataset.labels, dataset.split.seen)
 
-    f_s = solve_ridge_map(X, K_seen, Y, config.gamma, config.eta)
+    # Every map below shares X, Y and gamma, so they share the feature side.
+    T = ridge_feature_side(X, Y, config.gamma)
+    f_s = solve_ridge_map(X, K_seen, Y, config.gamma, config.eta, feature_side=T)
     preds = predict_semantic(f_s, X)
     k_tilde = _refine_prototypes(K_seen, preds, X, config.m)
 
     iterations_run = 0
     for _ in range(config.train_max_iter):
-        f_tilde = solve_ridge_map(X, k_tilde, Y, config.gamma, config.eta)
+        f_tilde = solve_ridge_map(X, k_tilde, Y, config.gamma, config.eta,
+                                  feature_side=T)
         preds_tilde = predict_semantic(f_tilde, X)
         refined = _refine_prototypes(k_tilde, preds_tilde, X, config.m)
         delta = _relative_change(refined, k_tilde)
@@ -340,7 +343,7 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
         iterations_run += 1
         if delta < config.convergence_tol:
             break
-    f_tilde = solve_ridge_map(X, k_tilde, Y, config.gamma, config.eta)
+    f_tilde = solve_ridge_map(X, k_tilde, Y, config.gamma, config.eta, feature_side=T)
 
     return DmapModel(
         f_s=f_s,

@@ -1,5 +1,7 @@
 """Closed-form ridge map: oracle equivalence, optimality, and guards."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from dmap.errors import DimensionMismatch, SingularSystem, ValidationError
 from dmap.linmap import (
     COND_LIMIT,
     predict_semantic,
+    ridge_feature_side,
     ridge_objective,
     solve_ridge_map,
     stationarity_residual,
@@ -146,6 +149,31 @@ class TestClosedForm:
         with pytest.raises(SingularSystem, match="non-finite"):
             solve_ridge_map(np.eye(3), K, Y, np.nan, 1.0)
 
+    @pytest.mark.parametrize("X, K, Y", [
+        (np.zeros((0, 5)), np.ones((3, 2)), np.ones((5, 2))),  # d = 0
+        (np.ones((4, 5)), np.ones((3, 0)), np.ones((5, 0))),  # k = 0
+        (np.ones((4, 0)), np.ones((3, 2)), np.ones((0, 2))),  # n = 0
+        (np.ones(5), np.ones((3, 2)), np.ones((5, 2))),
+        (np.ones((4, 5)), np.ones((3, 2)), np.ones((5, 2, 1))),
+    ])
+    def test_empty_or_non_matrix_input_rejected(self, X, K, Y):
+        shapes = f"X is {X.shape}, K is {K.shape}, Y is {Y.shape}"
+        with pytest.raises(ValidationError, match=re.escape(shapes)):
+            solve_ridge_map(X, K, Y, 1.0, 1.0)
+        with pytest.raises(ValidationError, match=re.escape(f"X is {X.shape}, Y is {Y.shape}")):
+            ridge_feature_side(X, Y, 1.0)
+
+    def test_feature_side_of_the_wrong_shape_rejected(self, rng):
+        X, K, Y = random_problem(rng, d=4, n=10, p=3, k=2)
+        T = ridge_feature_side(X, Y, 0.1)
+        for bad in (T.T, T[:, :1], T[:-1], T.ravel()):
+            with pytest.raises(DimensionMismatch, match="feature_side"):
+                solve_ridge_map(X, K, Y, 0.1, 0.2, feature_side=bad)
+        with pytest.raises(DimensionMismatch):
+            ridge_feature_side(X, Y[:-1], 0.1)
+        with pytest.raises(ValidationError):
+            ridge_feature_side(X, Y, -1.0)
+
     def test_returns_a_read_only_c_contiguous_array(self, rng):
         # p <= k takes the branch whose solve returns a transposed array.
         for p, k in ((3, 2), (2, 3)):
@@ -201,3 +229,34 @@ def test_closed_form_property(d, p, seed, log_gamma, log_eta):
     V = solve_ridge_map(X, K, Y, gamma, eta)
     V_star = kron_normal_equation_oracle(X, K, Y, gamma, eta)
     assert np.linalg.norm(V - V_star) <= 1e-8 * max(np.linalg.norm(V_star), 1e-30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wide_features=st.booleans(),
+    wide_embeddings=st.booleans(),
+    order=st.sampled_from("CF"),
+    small=st.integers(1, 6),
+    extra=st.integers(0, 5),
+    seed=st.integers(0, 10_000),
+    log_gamma=st.integers(-2, 2),
+    log_eta=st.integers(-2, 2),
+)
+def test_reused_feature_side_gives_the_same_bytes(
+        wide_features, wide_embeddings, order, small, extra, seed, log_gamma, log_eta):
+    """A precomputed feature side changes no byte of the map, on all four
+    branch pairs (d <= n or d > n, p <= k or p > k) and in C and Fortran order."""
+    rng = np.random.default_rng(seed)
+    d, n = (small + extra + 1, small) if wide_features else (small, small + extra)
+    k = int(rng.integers(1, 6))
+    p = k + int(rng.integers(1, 4)) if wide_embeddings else int(rng.integers(1, k + 1))
+    X = np.asarray(rng.normal(size=(d, n)), order=order)
+    K = np.asarray(rng.normal(size=(p, k)), order=order)
+    Y = np.full((n, k), -1.0)
+    Y[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+    Y = np.asarray(Y, order=order)
+    gamma, eta = 10.0 ** log_gamma, 10.0 ** log_eta
+    T = ridge_feature_side(X, Y, gamma)
+    assert T.shape == (d, k) and not T.flags.writeable
+    reused = solve_ridge_map(X, K, Y, gamma, eta, feature_side=T)
+    assert reused.tobytes() == solve_ridge_map(X, K, Y, gamma, eta).tobytes()

@@ -253,6 +253,31 @@ class TestTrain:
         pred2 = infer_inductive(model, data.test_features, K_u)
         assert pred.predicted_class == pred2.predicted_class
 
+    @pytest.mark.parametrize("iterations", [0, 2])
+    def test_feature_side_is_solved_once_per_train(self, monkeypatch, iterations):
+        import dmap.model
+        from dataclasses import replace
+
+        solved, passed = [], []
+        real_side, real_solve = dmap.model.ridge_feature_side, dmap.model.solve_ridge_map
+
+        def counting_side(*args, **kwargs):
+            solved.append(real_side(*args, **kwargs))
+            return solved[-1]
+
+        def recording_solve(*args, **kwargs):
+            passed.append(kwargs.get("feature_side"))
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(dmap.model, "ridge_feature_side", counting_side)
+        monkeypatch.setattr(dmap.model, "solve_ridge_map", recording_solve)
+        synth_cfg, run_cfg = noisy_setup(seed=1)
+        model = train(generate(synth_cfg).train, replace(run_cfg, train_max_iter=iterations))
+        assert model.train_iterations_run == iterations
+        assert len(solved) == 1
+        assert len(passed) == 2 + iterations
+        assert all(T is solved[0] for T in passed)
+
 
 class TestInductive:
     def test_exact_world_recovers_all_unseen_labels(self, exact_world):

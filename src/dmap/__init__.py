@@ -20,7 +20,6 @@ _EXPORTS = {
     "EmbeddingMatrix": "core",
     "ClassSplit": "core",
     "LabeledDataset": "core",
-    "PrototypeSet": "core",
     "class_mean_prototypes": "core",
     "build_label_matrix": "core",
     "l2_normalize_columns": "core",
@@ -69,7 +68,6 @@ _EXPORTS = {
     "UnknownClass": "errors",
     "MissingInstance": "errors",
     "DimensionMismatch": "errors",
-    "EmptyTrainingSet": "errors",
     "EmptyTestSet": "errors",
     "InfeasibleConfig": "errors",
     "NumericalError": "errors",

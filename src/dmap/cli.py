@@ -52,13 +52,6 @@ def _config_values(args) -> dict:
     return values
 
 
-def _load_effective_config(args):
-    """Built-in defaults, overlaid by the config file, then by the flags."""
-    from .model import DmapConfig
-
-    return DmapConfig(**_config_values(args))
-
-
 def _ensure_parent(path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
@@ -97,12 +90,13 @@ def _cmd_preinspect(args) -> int:
 def _cmd_cm(args) -> int:
     from . import io as dio
     from .consistency import consistency_report
+    from .model import DmapConfig
 
     X = dio.load_matrix(args.features)
     labels = dio.load_labels(args.labels)
     split = dio.load_split(args.split)
     embeddings = dio.load_embeddings(args.embeddings, split)
-    lam = _load_effective_config(args).lam
+    lam = DmapConfig(**_config_values(args)).lam
     cm, gap = consistency_report(X, labels, split, embeddings, lam)
     _ensure_parent(args.out)
     dio._dump_json({"cm": cm, "irc_gap": gap, "lambda": lam}, args.out)
@@ -112,9 +106,9 @@ def _cmd_cm(args) -> int:
 
 def _cmd_train(args) -> int:
     from . import io as dio
-    from .model import train
+    from .model import DmapConfig, train
 
-    config = _load_effective_config(args)
+    config = DmapConfig(**_config_values(args))
     dataset = dio.load_training_set(args.features, args.labels, args.split, args.embeddings)
     model = train(dataset, config)
     dio.save_model(model, args.model_dir)
@@ -209,10 +203,10 @@ def _cmd_pipeline(args) -> int:
     from . import io as dio
     from .consistency import consistency_report
     from .evaluation import evaluate
-    from .model import infer_inductive, train, transductive_rounds
+    from .model import DmapConfig, infer_inductive, train, transductive_rounds
     import numpy as np
 
-    config = _load_effective_config(args)
+    config = DmapConfig(**_config_values(args))
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -351,7 +345,7 @@ def main(argv=None) -> int:
     except DmapError as exc:
         _report_error(exc)
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         _report_error(exc)
         return 4
 

@@ -1,12 +1,16 @@
-"""Core data types shared by every module: feature/embedding matrices,
-class splits, and class prototypes, plus the +-1 label array.
+"""Core data types shared by every module: feature and class-indexed
+matrices and class splits, plus class-mean prototypes and the +-1 label
+array.
 
 Conventions
 -----------
 All matrices are column-major over items: a feature matrix is ``d x n``
-(one column per instance), an embedding matrix is ``p x c`` (one column
-per class), and a prototype set is ``dim x c``.  This single orientation
-is used everywhere to avoid transposition ambiguity between modules.
+(one column per instance) and an embedding matrix is ``dim x c`` (one
+column per class).  The given semantic space ``K`` (``dim = p``) and the
+prototype spaces built in feature dimension (``K~``, class means,
+``dim = d``) are all ``EmbeddingMatrix``.  This single orientation is
+used everywhere to avoid transposition ambiguity between modules, and
+:func:`_class_codes` is the one map from class ids to columns.
 
 All types are immutable after construction (arrays are marked
 read-only), so values can be shared freely across threads.
@@ -121,7 +125,8 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """A ``p x c`` collection of per-class semantic embeddings (space K).
+    """A ``dim x c`` matrix with one column per class id: the semantic
+    embeddings (space K) or prototypes in feature dimension (space K~).
 
     A column that is identically zero is almost certainly a data problem
     (it cannot separate its class from anything), but downstream guards
@@ -145,33 +150,27 @@ class EmbeddingMatrix:
             raise ValidationError(f"{len(ids)} class ids for {data.shape[1]} embedding columns")
         if len(set(ids)) != len(ids):
             raise ValidationError("class ids are not unique")
-        zero = [ids[j] for j in range(data.shape[1]) if not np.any(data[:, j])]
+        zero = [ids[j] for j in np.flatnonzero(~data.any(axis=0))]
         if zero:
             logger.warning("embedding columns are identically zero for classes: %s", zero)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "class_ids", ids)
 
-    @property
-    def p(self) -> int:
-        return self.data.shape[0]
-
     def column(self, class_id) -> np.ndarray:
         """The embedding vector of one class."""
-        try:
-            j = self.class_ids.index(class_id)
-        except ValueError:
-            raise MissingClass(f"class {class_id!r} not in embedding matrix") from None
-        return self.data[:, j]
+        return self.data[:, self._columns((class_id,))[0]]
 
     def subset(self, class_ids: Sequence) -> "EmbeddingMatrix":
         """Columns restricted to ``class_ids``, in the given order."""
-        idx = []
-        for cid in class_ids:
-            try:
-                idx.append(self.class_ids.index(cid))
-            except ValueError:
-                raise MissingClass(f"class {cid!r} not in embedding matrix") from None
-        return EmbeddingMatrix(self.data[:, idx], tuple(class_ids))
+        class_ids = tuple(class_ids)
+        return EmbeddingMatrix(self.data[:, self._columns(class_ids)], class_ids)
+
+    def _columns(self, class_ids: tuple) -> np.ndarray:
+        codes = _class_codes(class_ids, self.class_ids)
+        if (codes < 0).any():
+            missing = class_ids[int(np.argmax(codes < 0))]
+            raise MissingClass(f"class {missing!r} not in embedding matrix")
+        return codes
 
 
 @dataclass(frozen=True)
@@ -192,14 +191,6 @@ class ClassSplit:
             raise ValidationError(f"seen and unseen overlap: {sorted(set(seen) & set(unseen))}")
         object.__setattr__(self, "seen", seen)
         object.__setattr__(self, "unseen", unseen)
-
-    @property
-    def k(self) -> int:
-        return len(self.seen)
-
-    @property
-    def l(self) -> int:
-        return len(self.unseen)
 
 
 @dataclass(frozen=True)
@@ -230,24 +221,22 @@ class LabeledDataset:
         object.__setattr__(self, "labels", labels)
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
-    """One representative vector per class: ``dim x c`` plus class ids."""
+def _class_codes(labels: Sequence, classes: Sequence) -> np.ndarray:
+    """Column of each label among ``classes`` as an ``intp`` array, -1 for
+    labels that are not in ``classes``.
 
-    data: np.ndarray
-    class_ids: tuple
-
-    def __post_init__(self):
-        data = _freeze(np.atleast_2d(as_array(self.data)))
-        _require_finite(data, "prototype set")
-        ids = tuple(self.class_ids)
-        if len(ids) != data.shape[1]:
-            raise ValidationError(f"{len(ids)} class ids for {data.shape[1]} prototype columns")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "class_ids", ids)
+    Raises
+    ------
+    ValidationError
+        If ``classes`` repeats an id.
+    """
+    index = {cls: j for j, cls in enumerate(classes)}
+    if len(index) != len(classes):
+        raise ValidationError("class ids are not unique")
+    return np.fromiter((index.get(lab, -1) for lab in labels), dtype=np.intp, count=len(labels))
 
 
-def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> PrototypeSet:
+def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> EmbeddingMatrix:
     """Per-class arithmetic-mean prototypes.
 
     Parameters
@@ -260,26 +249,30 @@ def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> Prot
 
     Returns
     -------
-    PrototypeSet
+    EmbeddingMatrix
         Column ``i`` is the mean of the feature columns labelled
-        ``classes[i]``.
+        ``classes[i]``; labels outside ``classes`` are ignored.
 
     Raises
     ------
     MissingClass
         If a requested class has no instances.
+    ValidationError
+        If ``classes`` repeats an id.
     """
     X = as_array(features)
     labels = tuple(labels)
     if len(labels) != X.shape[1]:
         raise DimensionMismatch(f"{len(labels)} labels for {X.shape[1]} feature columns")
+    classes = tuple(classes)
+    codes = _class_codes(labels, classes)
     protos = np.empty((X.shape[0], len(classes)))
     for i, cls in enumerate(classes):
-        mask = np.fromiter((lab == cls for lab in labels), dtype=bool, count=len(labels))
+        mask = codes == i
         if not mask.any():
             raise MissingClass(f"class {cls!r} has no instances")
         protos[:, i] = X[:, mask].mean(axis=1)
-    return PrototypeSet(protos, tuple(classes))
+    return EmbeddingMatrix(protos, classes)
 
 
 def _class_ids(K, prefix: str) -> tuple:
@@ -295,16 +288,15 @@ def build_label_matrix(labels: Sequence, seen: Sequence) -> np.ndarray:
     ------
     UnknownLabel
         If any label is not among ``seen``.
+    ValidationError
+        If ``seen`` repeats an id.
     """
-    seen = tuple(seen)
-    index = {cls: j for j, cls in enumerate(seen)}
-    n, k = len(labels), len(seen)
-    Y = -np.ones((n, k))
-    for i, lab in enumerate(labels):
-        j = index.get(lab)
-        if j is None:
-            raise UnknownLabel(f"label {lab!r} is not a seen class")
-        Y[i, j] = 1.0
+    labels, seen = tuple(labels), tuple(seen)
+    codes = _class_codes(labels, seen)
+    if (codes < 0).any():
+        raise UnknownLabel(f"label {labels[int(np.argmax(codes < 0))]!r} is not a seen class")
+    Y = -np.ones((len(labels), len(seen)))
+    Y[np.arange(len(labels)), codes] = 1.0
     return Y
 
 

@@ -39,10 +39,6 @@ class DimensionMismatch(ValidationError):
     """Matrix shapes are inconsistent with the operation's contract."""
 
 
-class EmptyTrainingSet(ValidationError):
-    """Training was requested on a dataset with no instances."""
-
-
 class EmptyTestSet(ValidationError):
     """Inference was requested on an empty test set."""
 

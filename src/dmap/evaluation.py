@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import as_array
+from .core import _class_codes, as_array
 from .errors import MissingInstance, UnknownClass, ValidationError
 from .model import CZSR, GZSR, Prediction
 
@@ -71,7 +71,7 @@ def evaluate(prediction: Prediction, ground_truth: Sequence,
     MissingInstance
         If the instance counts disagree.
     UnknownClass
-        If a ground-truth class is not a candidate.
+        If a ground-truth or predicted class is not a candidate.
     """
     mode = CZSR if mode is None else mode
     if mode not in (CZSR, GZSR):
@@ -83,15 +83,16 @@ def evaluate(prediction: Prediction, ground_truth: Sequence,
             f"ground truth has {len(truth)}"
         )
     candidates = prediction.candidate_ids
-    cand_index = {cls: j for j, cls in enumerate(candidates)}
-    bad = sorted({cls for cls in truth if cls not in cand_index}, key=repr)
-    if bad:
-        raise UnknownClass(f"ground-truth classes missing from candidates: {bad}")
+    true_idx = _class_codes(truth, candidates)
+    pred_idx = _class_codes(prediction.predicted_class, candidates)
+    for what, ids, idx in (("ground-truth", truth, true_idx),
+                           ("predicted", prediction.predicted_class, pred_idx)):
+        if (idx < 0).any():
+            bad = sorted({ids[i] for i in np.flatnonzero(idx < 0)}, key=repr)
+            raise UnknownClass(f"{what} classes missing from candidates: {bad}")
 
     scores = as_array(prediction.score_matrix)
     c = len(candidates)
-    true_idx = np.array([cand_index[cls] for cls in truth], dtype=np.intp)
-    pred_idx = np.array([cand_index[cls] for cls in prediction.predicted_class], dtype=np.intp)
 
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (true_idx, pred_idx), 1)

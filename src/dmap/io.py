@@ -30,7 +30,6 @@ from .core import (
     EmbeddingMatrix,
     FeatureMatrix,
     LabeledDataset,
-    PrototypeSet,
     _freeze,
     as_array,
 )
@@ -386,10 +385,14 @@ def load_model(directory) -> DmapModel:
     ):
         if size != expected:
             raise ShapeMismatch(f"{name}: {size}, but {source}: {expected}: {directory}")
+    try:
+        k_tilde_s = EmbeddingMatrix(k_tilde, seen_ids)
+    except ValidationError as e:
+        raise ParseError(f"{_MODEL_META} seen_class_ids: {e}: {directory}") from None
     return DmapModel(
         f_s=_freeze(f_s),
         f_tilde=_freeze(f_tilde),
-        k_tilde_s=PrototypeSet(k_tilde, seen_ids),
+        k_tilde_s=k_tilde_s,
         train_iterations_run=iterations,
         config=config,
         feature_mean=mean,

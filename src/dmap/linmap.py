@@ -32,15 +32,11 @@ dual-path training) compute it once with :func:`ridge_feature_side`.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import scipy.linalg
 
 from .core import as_array, _freeze
 from .errors import DimensionMismatch, SingularSystem, ValidationError
-
-logger = logging.getLogger(__name__)
 
 #: Gram matrices with estimated condition above this are refused.
 COND_LIMIT = 1e12

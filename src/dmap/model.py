@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EmbeddingMatrix,
     FeatureMatrix,
     LabeledDataset,
-    PrototypeSet,
     _class_ids,
     as_array,
     build_label_matrix,
@@ -44,12 +44,7 @@ from .core import (
     default_instance_ids,
     l2_normalize_columns,
 )
-from .errors import (
-    DimensionMismatch,
-    EmptyTestSet,
-    EmptyTrainingSet,
-    ValidationError,
-)
+from .errors import DimensionMismatch, EmptyTestSet, ValidationError
 from .linmap import predict_semantic, ridge_feature_side, solve_ridge_map
 
 logger = logging.getLogger(__name__)
@@ -132,15 +127,15 @@ class DmapModel:
     ``f_s`` (d x p) maps features to the given semantic space and
     ``f_tilde`` (d x d) to the constructed space, both read-only arrays
     ``V`` of maps ``f(x) = V^T x`` fit with ``config.gamma`` and
-    ``config.eta``; ``k_tilde_s`` holds the refined seen-class prototypes
-    in feature dimension.  ``feature_mean`` is stored only when
-    ``config.center`` is set, so the identical shift can be applied at
-    test time.
+    ``config.eta``; ``k_tilde_s`` is the ``EmbeddingMatrix`` of the
+    refined seen-class prototypes in feature dimension (``d x k``).
+    ``feature_mean`` is stored only when ``config.center`` is set, so the
+    identical shift can be applied at test time.
     """
 
     f_s: np.ndarray
     f_tilde: np.ndarray
-    k_tilde_s: PrototypeSet
+    k_tilde_s: EmbeddingMatrix
     train_iterations_run: int
     config: DmapConfig
     feature_mean: np.ndarray | None = None
@@ -318,8 +313,6 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
     ``convergence_tol``.  The returned ``f~_s`` is always fit against
     the final prototypes.
     """
-    if dataset.features.n < 1 or len(dataset.labels) < 1:
-        raise EmptyTrainingSet("no training instances")
     X, feature_mean = _prepare_features(dataset.features.data, config, None)
     K_seen = dataset.semantic.subset(dataset.split.seen).data
     if config.normalize:
@@ -348,7 +341,7 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
     return DmapModel(
         f_s=f_s,
         f_tilde=f_tilde,
-        k_tilde_s=PrototypeSet(k_tilde, dataset.split.seen),
+        k_tilde_s=EmbeddingMatrix(k_tilde, dataset.split.seen),
         train_iterations_run=iterations_run,
         config=config,
         feature_mean=feature_mean,
@@ -423,7 +416,8 @@ def infer_inductive(model: DmapModel, X_test, K_unseen,
 
 def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
                         iterations: int):
-    """Yield ``(Prediction, PrototypeSet)`` after each transductive round.
+    """Yield ``(Prediction, EmbeddingMatrix)`` after each transductive
+    round, the matrix holding that round's unseen prototypes ``K~_u``.
 
     Round 1 builds each unseen prototype from the ``m`` test features
     whose ``f_s`` predictions lie nearest the class embedding; rounds 2+
@@ -448,7 +442,7 @@ def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
     for _ in range(iterations):
         k_tilde_u = _refine_prototypes(k_tilde_u, search, X, model.config.m)
         search = preds_tilde
-        prototypes = PrototypeSet(k_tilde_u, unseen_ids)
+        prototypes = EmbeddingMatrix(k_tilde_u, unseen_ids)
         candidates, candidate_ids = _candidates(model, mode, prototypes, model.k_tilde_s)
         yield (_score_and_predict(candidates, candidate_ids, preds_tilde, instance_ids),
                prototypes)
@@ -456,12 +450,13 @@ def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
 
 def infer_transductive(model: DmapModel, X_test, K_unseen,
                        mode: str | None = None,
-                       iterations: int | None = None) -> tuple[Prediction, PrototypeSet]:
+                       iterations: int | None = None) -> tuple[Prediction, EmbeddingMatrix]:
     """Batch inference with transductively constructed unseen prototypes:
     the last of ``iterations`` (default ``test_max_iter``) rounds of
     :func:`transductive_rounds`.
 
-    Returns the prediction and the constructed unseen ``PrototypeSet``.
+    Returns the prediction and the ``EmbeddingMatrix`` of the constructed
+    unseen prototypes.
     """
     iterations = model.config.test_max_iter if iterations is None else iterations
     if iterations < 1:

@@ -335,6 +335,8 @@ class TestPredictOverrides:
         ("train_iterations_run", -1), ("train_iterations_run", True),
         ("config", {"m": "10"}), ("config", {"m": 0}), ("config", {"depth": 3}),
         ("config", "m=10"), ("seen_class_ids", "c0"), ("seen_class_ids", [None]),
+        # Repeated ids would make gzsr predict write repeated candidates.
+        ("seen_class_ids", ["s00"] * EXACT_SYNTH["k"]),
     ])
     def test_model_json_bad_value_exits_4(self, plain_model, exact_data_dir,
                                           tmp_path, capsys, key, value):

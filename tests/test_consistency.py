@@ -17,7 +17,7 @@ from dmap.consistency import (
     preinspect,
     project_onto_seen_span,
 )
-from dmap.core import PrototypeSet, class_mean_prototypes
+from dmap.core import EmbeddingMatrix, class_mean_prototypes
 from dmap.errors import DimensionMismatch, SingularSystem, ValidationError
 from dmap.linmap import predict_semantic
 from dmap.model import train
@@ -47,7 +47,7 @@ def ridge_gradient_descent_oracle(A, t, lam, steps=200_000, lr=None):
 def protos(cols, ids=None):
     cols = np.asarray(cols, dtype=np.float64)
     ids = ids or tuple(f"c{i}" for i in range(cols.shape[1]))
-    return PrototypeSet(cols, ids)
+    return EmbeddingMatrix(cols, ids)
 
 
 def percolumn_relationship(P, u, lam):

@@ -95,7 +95,7 @@ class TestClassSplit:
 
     def test_side_counts(self):
         sp = make_split(k=3, l=2)
-        assert sp.k == 3 and sp.l == 2
+        assert len(sp.seen) == 3 and len(sp.unseen) == 2
 
 
 class TestLabeledDataset:
@@ -177,6 +177,84 @@ class TestClassMeanPrototypes:
         for j, cls in enumerate(classes):
             cols = [i for i, lab in enumerate(labels) if lab == cls]
             np.testing.assert_allclose(protos.data[:, j], X[:, cols].mean(axis=1))
+
+
+def loop_class_means(X, labels, classes):
+    """Class means with one generator mask per class."""
+    labels = tuple(labels)
+    if len(labels) != X.shape[1]:
+        raise DimensionMismatch(f"{len(labels)} labels for {X.shape[1]} feature columns")
+    protos = np.empty((X.shape[0], len(classes)))
+    for i, cls in enumerate(classes):
+        mask = np.fromiter((lab == cls for lab in labels), dtype=bool, count=len(labels))
+        if not mask.any():
+            raise MissingClass(f"class {cls!r} has no instances")
+        protos[:, i] = X[:, mask].mean(axis=1)
+    return protos
+
+
+def loop_label_matrix(labels, seen):
+    """The +-1 label array filled one label at a time."""
+    index = {cls: j for j, cls in enumerate(seen)}
+    Y = -np.ones((len(labels), len(seen)))
+    for i, lab in enumerate(labels):
+        j = index.get(lab)
+        if j is None:
+            raise UnknownLabel(f"label {lab!r} is not a seen class")
+        Y[i, j] = 1.0
+    return Y
+
+
+def index_subset(em, wanted):
+    """``EmbeddingMatrix.subset`` with one ``tuple.index`` per class."""
+    idx = []
+    for cid in wanted:
+        try:
+            idx.append(em.class_ids.index(cid))
+        except ValueError:
+            raise MissingClass(f"class {cid!r} not in embedding matrix") from None
+    return EmbeddingMatrix(em.data[:, idx], tuple(wanted)).data
+
+
+def outcome(fn, *args):
+    """Result bytes, or the error's type and message."""
+    try:
+        return as_array(fn(*args)).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Class ids of both accepted types; extra ids play labels outside the classes.
+class_id = st.one_of(st.integers(-2, 5), st.text("ab", max_size=2))
+
+
+class TestClassLookupMatchesLoops:
+    """The one class-id lookup against the per-class loops it replaced."""
+
+    @given(st.lists(class_id, min_size=1, max_size=5, unique=True),
+           st.lists(class_id, max_size=3), st.data())
+    def test_class_means_and_label_matrix(self, classes, extra, data):
+        labels = data.draw(st.lists(st.sampled_from(classes + extra), max_size=12))
+        rng = np.random.default_rng(len(labels))
+        X = rng.normal(size=(data.draw(st.integers(1, 3)), len(labels)))
+        assert (outcome(class_mean_prototypes, X, labels, classes)
+                == outcome(loop_class_means, X, labels, classes))
+        assert (outcome(build_label_matrix, labels, classes)
+                == outcome(loop_label_matrix, labels, classes))
+
+    @given(st.lists(class_id, min_size=1, max_size=5, unique=True),
+           st.lists(class_id, max_size=3), st.data())
+    def test_subset(self, ids, extra, data):
+        em = EmbeddingMatrix(np.arange(1.0, 2 * len(ids) + 1).reshape(2, -1), ids)
+        wanted = data.draw(st.lists(st.sampled_from(ids + extra), max_size=6))
+        assert outcome(em.subset, wanted) == outcome(index_subset, em, wanted)
+
+    def test_duplicate_classes_rejected(self):
+        X = np.eye(2)
+        with pytest.raises(ValidationError, match="not unique"):
+            class_mean_prototypes(X, ("a", "b"), ("a", "b", "a"))
+        with pytest.raises(ValidationError, match="not unique"):
+            build_label_matrix(("a", "b"), ("a", "b", "a"))
 
 
 class TestColumnHelpers:

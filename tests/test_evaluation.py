@@ -224,6 +224,11 @@ class TestValidation:
         with pytest.raises(UnknownClass):
             evaluate(pred, ("a", "z"))
 
+    def test_unknown_predicted_class(self):
+        pred = Prediction(("a", "b"), ("x", "z"), np.zeros((2, 2)), ("x", "y"))
+        with pytest.raises(UnknownClass, match="predicted classes missing from candidates: \\['z'\\]"):
+            evaluate(pred, ("x", "x"))
+
     def test_bad_mode(self):
         pred = make_prediction(np.eye(2), ("a", "b"))
         with pytest.raises(ValidationError):

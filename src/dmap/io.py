@@ -1,14 +1,18 @@
-"""File formats: text matrices, JSON splits/labels/configs/reports, CSV
+"""File formats: matrices, JSON splits/labels/configs/reports, CSV
 summaries, and model/dataset directories.
 
-The matrix format is a plain text file whose first line is
+A matrix file's suffix picks its format.  ``.npy`` is NumPy's binary
+format, read with pickles refused: float32 or float64, converted exactly to
+float64.  Every other name is the text format, whose first line is
 ``dmap-matrix 1 <rows> <cols>`` followed by ``rows`` lines of ``cols``
-space-separated decimal floats.  Floats are printed in the shortest
-representation that round-trips, so ``parse(serialize(M))`` reproduces
-``M`` bit-exactly for finite doubles.  Files ending in ``.gz`` are
-gzip-wrapped transparently.  Everything written by this module is
-deterministic: JSON keys are sorted, floats use ``repr``, and no
-timestamps or environment details are embedded.
+space-separated decimal floats, printed in the shortest representation that
+round-trips, so ``parse(serialize(M))`` reproduces ``M`` bit-exactly; text
+files ending in ``.gz`` are gzip-wrapped transparently (``.npy.gz`` is
+refused).  Both formats hold non-empty 2-D arrays of finite doubles.
+Model directories (``dmap-model 2``) store their arrays as ``.npy``;
+``dmap-model 1`` directories, in text, are still read.  Everything written
+by this module is deterministic: JSON keys are sorted, floats use ``repr``,
+and no timestamps or environment details are embedded.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import csv
 import gzip
 import io
 import json
+import os
+import tokenize
+import warnings
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -49,14 +56,26 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _is_npy(path: Path) -> bool:
+    """Whether ``path`` names a ``.npy`` matrix file; ``.npy.gz`` is refused."""
+    if path.suffixes[-2:] == [".npy", ".gz"]:
+        raise ParseError(f".npy matrix files are not gzip-wrapped: {path}")
+    return path.suffix == ".npy"
+
+
 def save_matrix(matrix, path) -> None:
-    """Write a 2-D array in the text matrix format (gzip if ``*.gz``)."""
+    """Write a 2-D array as ``.npy`` or in the text matrix format (gzip if ``*.gz``)."""
     arr = np.atleast_2d(np.asarray(as_array(matrix), dtype=np.float64))
-    if arr.ndim != 2:
-        raise ValidationError(f"matrix files hold 2-D arrays, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(f"matrix files hold non-empty 2-D arrays, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix files hold finite doubles only")
     path = Path(path)
+    if _is_npy(path):
+        with open(path, "wb") as fh:
+            # C order always, so equal matrices give equal bytes.
+            np.lib.format.write_array(fh, np.ascontiguousarray(arr), allow_pickle=False)
+        return
     rows, cols = arr.shape
     with open(path, "wb") as raw:
         # For gzip, an empty name and mtime 0 keep the file name and the
@@ -72,9 +91,56 @@ def save_matrix(matrix, path) -> None:
                 fh.write("\n")
 
 
+#: What reading a malformed ``.npy`` header raises besides ``ValueError``:
+#: NumPy's header parser lets an unhashable or too-short ``descr`` escape as
+#: ``TypeError`` or ``IndexError``, its fallback for Python 2 headers can end
+#: in ``tokenize.TokenError`` (and warns, which is made an error below), and
+#: Python's parser gives up on deeply nested expressions with ``MemoryError``.
+_NPY_ERRORS = (OSError, ValueError, TypeError, LookupError, SyntaxError, MemoryError,
+               tokenize.TokenError, UserWarning)
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _load_npy(path: Path) -> np.ndarray:
+    """A float32 or float64 ``.npy`` matrix as a C-ordered float64 array."""
+    try:
+        with open(path, "rb") as fh:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                version = np.lib.format.read_magic(fh)
+                if version not in _NPY_HEADER_READERS:
+                    raise ParseError(f".npy format version {version} is not read: {path}")
+                shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fh)
+            if dtype.kind != "f" or dtype.itemsize not in (4, 8):
+                raise ParseError(f".npy matrix files hold float32 or float64, got {dtype}: {path}")
+            if len(shape) != 2 or min(shape) < 1:
+                raise ParseError(f".npy matrix files hold non-empty 2-D arrays, "
+                                 f"got shape {shape}: {path}")
+            # Checked before reading, so the header cannot ask for more
+            # memory than the file holds.
+            nbytes = shape[0] * shape[1] * dtype.itemsize
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != nbytes:
+                raise ParseError(f"{path} holds {size} bytes of data, but its header "
+                                 f"declares {shape} {dtype} ({nbytes} bytes)")
+            data = np.fromfile(fh, dtype=dtype, count=shape[0] * shape[1])
+    except _NPY_ERRORS as exc:
+        raise ParseError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+    data = data.reshape(shape[::-1]).T if fortran_order else data.reshape(shape)
+    out = np.ascontiguousarray(data, dtype=np.float64)
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise ParseError(f"non-finite value {float(out[i, j])!r} at row {i + 1}, "
+                         f"column {j + 1}: {path}")
+    return out
+
+
 def load_matrix(path) -> np.ndarray:
-    """Read a text matrix file back into a float64 array."""
+    """Read a matrix file, ``.npy`` or text, into a float64 array."""
     path = Path(path)
+    if _is_npy(path):
+        return _load_npy(path)
     opener = gzip.open if path.suffix == ".gz" else open
     try:
         with opener(path, "rt", encoding="utf-8", newline="") as fh:
@@ -262,18 +328,38 @@ def save_confusion_csv(report: EvalReport, path) -> None:
             writer.writerow([str(cid)] + [str(int(v)) for v in report.confusion[i]])
 
 
-def prediction_to_dict(prediction: Prediction, mode: str) -> dict:
+def _prediction_without_scores(prediction: Prediction, mode: str) -> dict:
     return {
         "mode": mode,
         "instance_ids": list(prediction.instance_ids),
         "predicted": list(prediction.predicted_class),
         "candidates": list(prediction.candidate_ids),
-        "scores": np.asarray(prediction.score_matrix, dtype=np.float64).tolist(),
     }
 
 
+def prediction_to_dict(prediction: Prediction, mode: str) -> dict:
+    return {**_prediction_without_scores(prediction, mode),
+            "scores": np.asarray(prediction.score_matrix, dtype=np.float64).tolist()}
+
+
 def save_prediction(prediction: Prediction, mode: str, path) -> None:
-    _dump_json(prediction_to_dict(prediction, mode), path)
+    """Write the bytes of ``json.dumps(prediction_to_dict(prediction, mode),
+    sort_keys=True, indent=2)`` and a newline.
+
+    Any indent makes ``json`` use its pure-Python encoder, so only the id
+    lists go through it.  The score table, whose key sorts last, is joined
+    row by row from ``repr``, which is how ``json`` writes finite floats:
+    one value per line at depth 3, and an empty list as ``[]``.
+    """
+    scores = np.asarray(prediction.score_matrix, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValidationError(f"prediction scores must be finite doubles: {path}")
+    head = json.dumps(_prediction_without_scores(prediction, mode), sort_keys=True, indent=2)
+    rows = ["[\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" if row.size
+            else "[]" for row in scores]
+    table = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    # head ends in "\n}": the scores key goes before that brace.
+    Path(path).write_text(f'{head[:-2]},\n  "scores": {table}\n}}\n', encoding="utf-8")
 
 
 def load_prediction(path) -> tuple[Prediction, str]:
@@ -328,19 +414,22 @@ def write_summary_csv(rows: Sequence[Mapping], path) -> None:
 # --- model directories ------------------------------------------------------
 
 _MODEL_META = "model.json"
+_MODEL_SCHEMA = "dmap-model 2"
+#: Matrix file suffix by model schema: version 2 is binary, version 1 text.
+_MODEL_SUFFIX = {"dmap-model 1": ".dmx", _MODEL_SCHEMA: ".npy"}
 
 
 def save_model(model: DmapModel, directory) -> None:
-    """Serialise a trained model: three matrix files plus metadata JSON."""
+    """Serialise a trained model: three ``.npy`` matrices plus metadata JSON."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_matrix(model.f_s, directory / "f_s.dmx")
-    save_matrix(model.f_tilde, directory / "f_tilde.dmx")
-    save_matrix(model.k_tilde_s.data, directory / "k_tilde_s.dmx")
+    save_matrix(model.f_s, directory / "f_s.npy")
+    save_matrix(model.f_tilde, directory / "f_tilde.npy")
+    save_matrix(model.k_tilde_s.data, directory / "k_tilde_s.npy")
     if model.feature_mean is not None:
-        save_matrix(model.feature_mean.reshape(-1, 1), directory / "feature_mean.dmx")
+        save_matrix(model.feature_mean.reshape(-1, 1), directory / "feature_mean.npy")
     meta = {
-        "schema": "dmap-model 1",
+        "schema": _MODEL_SCHEMA,
         "config": run_config_to_dict(model.config),
         "seen_class_ids": list(model.k_tilde_s.class_ids),
         "train_iterations_run": int(model.train_iterations_run),
@@ -350,9 +439,12 @@ def save_model(model: DmapModel, directory) -> None:
 
 
 def load_model(directory) -> DmapModel:
+    """Read a model directory, ``dmap-model 2`` (``.npy``) or 1 (text)."""
     directory = Path(directory)
     meta = _load_json(directory / _MODEL_META)
-    if not isinstance(meta, dict) or meta.get("schema") != "dmap-model 1":
+    schema = meta.get("schema") if isinstance(meta, dict) else None
+    suffix = _MODEL_SUFFIX.get(schema) if isinstance(schema, str) else None
+    if suffix is None:
         raise ParseError(f"not a model directory: {directory}")
     missing = {"config", "seen_class_ids", "train_iterations_run"} - set(meta)
     if missing:
@@ -370,18 +462,19 @@ def load_model(directory) -> DmapModel:
     if has_mean is not config.center:
         raise ParseError(f"{_MODEL_META} has has_feature_mean {has_mean!r} but config "
                          f"center {config.center!r}: {directory}")
-    f_s = load_matrix(directory / "f_s.dmx")
-    f_tilde = load_matrix(directory / "f_tilde.dmx")
-    k_tilde = load_matrix(directory / "k_tilde_s.dmx")
+    f_s, f_tilde, k_tilde = (load_matrix(directory / f"{name}{suffix}")
+                             for name in ("f_s", "f_tilde", "k_tilde_s"))
     mean = None
     if has_mean:
-        mean = load_matrix(directory / "feature_mean.dmx").reshape(-1)
+        mean = load_matrix(directory / f"feature_mean{suffix}").reshape(-1)
     d = f_s.shape[0]
     for name, size, expected, source in (
-        ("f_tilde.dmx rows", f_tilde.shape[0], d, "f_s.dmx rows"),
-        ("feature_mean.dmx entries", d if mean is None else mean.size, d, "f_s.dmx rows"),
-        ("k_tilde_s.dmx rows", k_tilde.shape[0], f_tilde.shape[1], "f_tilde.dmx columns"),
-        ("k_tilde_s.dmx columns", k_tilde.shape[1], len(seen_ids), "seen_class_ids"),
+        (f"f_tilde{suffix} rows", f_tilde.shape[0], d, f"f_s{suffix} rows"),
+        (f"feature_mean{suffix} entries", d if mean is None else mean.size, d,
+         f"f_s{suffix} rows"),
+        (f"k_tilde_s{suffix} rows", k_tilde.shape[0], f_tilde.shape[1],
+         f"f_tilde{suffix} columns"),
+        (f"k_tilde_s{suffix} columns", k_tilde.shape[1], len(seen_ids), "seen_class_ids"),
     ):
         if size != expected:
             raise ShapeMismatch(f"{name}: {size}, but {source}: {expected}: {directory}")
@@ -442,11 +535,23 @@ def load_training_set(features_path, labels_path, split_path, embeddings_path) -
                           semantic=embeddings)
 
 
+def _dataset_matrix(directory: Path, stem: str) -> Path:
+    """``<stem>.npy`` if the directory holds it, else ``<stem>.dmx``; not both."""
+    npy, dmx = directory / f"{stem}.npy", directory / f"{stem}.dmx"
+    if not npy.exists():
+        return dmx
+    if dmx.exists():
+        raise ParseError(f"{directory} holds both {dmx.name} and {npy.name}")
+    return npy
+
+
 def load_dataset(directory) -> tuple[LabeledDataset, FeatureMatrix, tuple, EmbeddingMatrix]:
-    """Read a dataset directory back; inverse of :func:`save_dataset`."""
+    """Read a dataset directory back; inverse of :func:`save_dataset`.  Each
+    matrix may be stored as ``.npy`` instead of ``.dmx``."""
     directory = Path(directory)
-    train = load_training_set(directory / "train_features.dmx", directory / "train_labels.json",
-                              directory / "split.json", directory / "embeddings.dmx")
-    test_X = load_matrix(directory / "test_features.dmx")
+    train = load_training_set(_dataset_matrix(directory, "train_features"),
+                              directory / "train_labels.json", directory / "split.json",
+                              _dataset_matrix(directory, "embeddings"))
+    test_X = load_matrix(_dataset_matrix(directory, "test_features"))
     test = FeatureMatrix(test_X, tuple(f"te{i:06d}" for i in range(test_X.shape[1])))
     return train, test, load_labels(directory / "test_labels.json"), train.semantic

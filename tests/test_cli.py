@@ -6,6 +6,7 @@ import contextlib
 import gzip
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ def train_model(data_dir, model_dir, *flags):
     return model_dir
 
 
+def copy_model(source, target, text=False):
+    """Copy a model directory; with ``text``, as ``dmap-model 1`` (``.dmx`` files)."""
+    target.mkdir()
+    for path in source.iterdir():
+        if text and path.suffix == ".npy":
+            dio.save_matrix(dio.load_matrix(path), target / f"{path.stem}.dmx")
+        else:
+            (target / path.name).write_bytes(path.read_bytes())
+    if text:
+        meta = json.loads((target / "model.json").read_text())
+        (target / "model.json").write_text(json.dumps({**meta, "schema": "dmap-model 1"}))
+
+
 def one_json_error(capsys) -> str:
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -337,6 +351,7 @@ class TestPredictOverrides:
         ("config", "m=10"), ("seen_class_ids", "c0"), ("seen_class_ids", [None]),
         # Repeated ids would make gzsr predict write repeated candidates.
         ("seen_class_ids", ["s00"] * EXACT_SYNTH["k"]),
+        ("schema", "dmap-model 3"), ("schema", ["dmap-model 2"]),
     ])
     def test_model_json_bad_value_exits_4(self, plain_model, exact_data_dir,
                                           tmp_path, capsys, key, value):
@@ -366,17 +381,21 @@ class TestPredictOverrides:
         assert one_json_error(capsys) == "ParseError"
 
     @pytest.mark.parametrize("name, cut", [
+        # dmap-model 1 (text) directories
         ("f_tilde.dmx", np.s_[:-1, :]),      # rows differ from f_s
         ("feature_mean.dmx", np.s_[:-1, :]),  # length differs from f_s rows
         ("f_tilde.dmx", np.s_[:, :-1]),      # columns differ from k_tilde_s rows
         ("k_tilde_s.dmx", np.s_[:, :-1]),    # columns differ from seen_class_ids
+        # dmap-model 2 (.npy) directories, as save_model writes them
+        ("f_tilde.npy", np.s_[:-1, :]),
+        ("feature_mean.npy", np.s_[:-1, :]),
+        ("f_tilde.npy", np.s_[:, :-1]),
+        ("k_tilde_s.npy", np.s_[:, :-1]),
     ])
     def test_model_matrices_of_disagreeing_shape_exit_4(self, centred_model, exact_data_dir,
                                                         tmp_path, capsys, name, cut):
         broken = tmp_path / "model"
-        broken.mkdir()
-        for path in centred_model.iterdir():
-            (broken / path.name).write_bytes(path.read_bytes())
+        copy_model(centred_model, broken, text=name.endswith(".dmx"))
         dio.save_matrix(dio.load_matrix(broken / name)[cut], broken / name)
         with pytest.raises(ShapeMismatch, match=name):
             dio.load_model(broken)
@@ -404,6 +423,75 @@ class TestPredictOverrides:
         assert main(predict_argv(broken, exact_data_dir, tmp_path / "pred.json")) == 4
         assert one_json_error(capsys) == "ParseError"
         assert not (tmp_path / "pred.json").exists()
+
+
+#: A dmap-model 1 directory, its inputs and the predictions that its writer's
+#: version of ``dmap predict`` made from them (see tests/test_io.py).
+V1_FIXTURE = Path(__file__).parent / "data" / "model_v1"
+
+
+@pytest.mark.parametrize("out, flags", [
+    ("pred_transductive.json", []),
+    ("pred_inductive.json", ["--inductive"]),
+    ("pred_gzsr.json", ["--inductive", "--mode", "gzsr"]),
+])
+@pytest.mark.parametrize("schema", ["v1", "resaved-v2"])
+def test_predict_on_a_v1_model_gives_its_writers_bytes(tmp_path, out, flags, schema):
+    model_dir = V1_FIXTURE / "model"
+    if schema == "resaved-v2":
+        model_dir = tmp_path / "model"
+        dio.save_model(dio.load_model(V1_FIXTURE / "model"), model_dir)
+        assert (model_dir / "f_tilde.npy").exists()
+    assert main(predict_argv(model_dir, V1_FIXTURE, tmp_path / out) + flags) == 0
+    assert (tmp_path / out).read_bytes() == (V1_FIXTURE / out).read_bytes()
+    ktilde = out.replace(".json", "_ktilde_u.dmx")
+    if flags:
+        assert not (tmp_path / ktilde).exists()
+    else:
+        assert (tmp_path / ktilde).read_bytes() == (V1_FIXTURE / ktilde).read_bytes()
+
+
+def test_non_finite_scores_exit_2(exact_data_dir, tmp_path, capsys):
+    # Every input is finite, but the inductive scores overflow; they used to
+    # be written as Infinity, which load_prediction then refused.
+    model_dir = train_model(exact_data_dir, tmp_path / "model")
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("split.json", "test_labels.json"):
+        (data / name).write_bytes((exact_data_dir / name).read_bytes())
+    emb = dio.load_matrix(exact_data_dir / "embeddings.dmx")
+    emb[:, EXACT_SYNTH["k"]:] *= 1e300
+    dio.save_matrix(emb, data / "embeddings.dmx")
+    dio.save_matrix(dio.load_matrix(exact_data_dir / "test_features.dmx") * 1e300,
+                    data / "test_features.dmx")
+    out = tmp_path / "pred.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(predict_argv(model_dir, data, out) + ["--inductive"])
+    assert code == 2
+    assert one_json_error(capsys) == "ValidationError"
+    assert not out.exists()
+
+
+def test_pipeline_reads_npy_data_dir_with_the_same_results(exact_data_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in exact_data_dir.iterdir():
+        if path.suffix == ".dmx":
+            dio.save_matrix(dio.load_matrix(path), data / f"{path.stem}.npy")
+        else:
+            (data / path.name).write_bytes(path.read_bytes())
+    for directory, out in ((exact_data_dir, "text"), (data, "npy")):
+        assert main(["pipeline", "--data-dir", str(directory), "--out-dir", str(tmp_path / out),
+                     *EXACT_FLAGS]) == 0
+    for path in sorted((tmp_path / "text").rglob("*")):
+        if path.is_file():
+            assert path.read_bytes() == (tmp_path / "npy" / path.relative_to(
+                tmp_path / "text")).read_bytes(), path.name
+    (data / "embeddings.dmx").write_bytes((exact_data_dir / "embeddings.dmx").read_bytes())
+    capsys.readouterr()
+    assert main(["pipeline", "--data-dir", str(data), "--out-dir", str(tmp_path / "both"),
+                 *EXACT_FLAGS]) == 4
+    assert one_json_error(capsys) == "ParseError"
 
 
 @pytest.mark.parametrize("command", ["cm", "train", "predict", "pipeline"])
@@ -720,7 +808,7 @@ def small_world(tmp_path_factory):
                     tmp / "features.dmx")
     dio.save_labels(tuple(ds.train.labels) + tuple(ds.test_labels), tmp / "labels.json")
     dio.save_split(ds.split, tmp / "split.json")
-    dio.save_matrix(ds.embeddings.subset(ds.split.seen + ds.split.unseen), tmp / "emb.dmx")
+    dio.save_matrix(ds.embeddings.subset(ds.split.seen + ds.split.unseen), tmp / "emb.npy")
     dio.save_prediction(Prediction(("x0", "x1"), ("a", "b"), np.eye(2), ("a", "b")),
                         "czsr", tmp / "pred.json")
     dio.save_labels(["a", "b"], tmp / "truth.json")
@@ -731,7 +819,7 @@ def small_world(tmp_path_factory):
 WORLD_INPUTS = {
     "preinspect": {"--kseen": "ks.dmx", "--kunseen": "ku.dmx.gz"},
     "cm": {"--features": "features.dmx", "--labels": "labels.json",
-           "--split": "split.json", "--embeddings": "emb.dmx"},
+           "--split": "split.json", "--embeddings": "emb.npy"},
     "eval": {"--pred": "pred.json", "--truth": "truth.json"},
 }
 
@@ -746,6 +834,20 @@ def world_argv(command, directory, flags=()):
 def write_world(world, directory, **replaced):
     for name, raw in {**world, **replaced}.items():
         (directory / name).write_bytes(raw)
+
+
+def npy_edit(edit, **kwargs):
+    """A corruption that rewrites the ``.npy`` file's array through ``edit``."""
+    def corrupt(raw):
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, edit(np.load(io.BytesIO(raw))), **kwargs)
+        return buf.getvalue()
+    return corrupt
+
+
+def with_nan(arr):
+    arr[0, 0] = np.nan
+    return arr
 
 
 def reserved_block_type(raw):
@@ -779,10 +881,27 @@ def reserved_block_type(raw):
         b"0.0", b"false", 1), "ParseError", True),
     ("eval", "pred.json", lambda raw: raw.replace(b"1.0", b"1" + b"0" * 400, 1),
      "ParseError", True),
+    # .npy files: pickled objects, dtypes other than float32/float64, ranks
+    # other than 2, no values, non-finite values, truncated or foreign bytes,
+    # and a header shape the file cannot hold
+    ("cm", "emb.npy", npy_edit(lambda a: a.astype(object), allow_pickle=True), "ParseError",
+     True),
+    ("cm", "emb.npy", npy_edit(lambda a: a.astype(np.int64)), "ParseError", True),
+    ("cm", "emb.npy", npy_edit(lambda a: a.astype(np.float16)), "ParseError", True),
+    ("cm", "emb.npy", npy_edit(np.ravel), "ParseError", True),
+    ("cm", "emb.npy", npy_edit(lambda a: a[None]), "ParseError", True),
+    ("cm", "emb.npy", npy_edit(lambda a: a[:, :0]), "ParseError", True),
+    ("cm", "emb.npy", npy_edit(with_nan), "ParseError", True),
+    ("cm", "emb.npy", npy_edit(lambda a: np.full_like(a, -np.inf)), "ParseError", True),
+    ("cm", "emb.npy", lambda raw: raw[:-8], "ParseError", True),
+    ("cm", "emb.npy", lambda raw: b"dmap-matrix 1 1 1\n1.0\n", "ParseError", True),
+    ("cm", "emb.npy", lambda raw: raw.replace(b"(3, 6), }      ", b"(9999999, 6), }"),
+     "ParseError", True),
 ], ids=["matrix-not-utf8", "labels-not-utf8", "split-not-utf8", "prediction-not-utf8",
         "gzip-truncated", "gzip-corrupted", "json-huge-integer", "json-deep-nesting",
         "header-huge-integer", "header-huge-shape", "prediction-nonfinite", "prediction-bool",
-        "prediction-overflow"])
+        "prediction-overflow", "npy-pickled", "npy-int64", "npy-float16", "npy-1d", "npy-3d",
+        "npy-empty", "npy-nan", "npy-inf", "npy-truncated", "npy-not-npy", "npy-huge-shape"])
 def test_malformed_bytes_exit_4(small_world, tmp_path, capsys, command, name, corrupt, error,
                                 names_file):
     write_world(small_world, tmp_path, **{name: corrupt(small_world[name])})
@@ -792,6 +911,16 @@ def test_malformed_bytes_exit_4(small_world, tmp_path, capsys, command, name, co
     err = json.loads(lines[0])
     assert err["error"] == error
     assert (name in err["message"]) is names_file
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_gzip_wrapped_npy_exits_4(small_world, tmp_path, capsys):
+    write_world(small_world, tmp_path)
+    (tmp_path / "emb.npy.gz").write_bytes(gzip.compress(small_world["emb.npy"], mtime=0))
+    argv = world_argv("cm", tmp_path) + ["--embeddings", str(tmp_path / "emb.npy.gz")]
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "emb.npy.gz" in err["message"]
     assert not (tmp_path / "out.json").exists()
 
 

@@ -5,6 +5,8 @@ The text matrix format promises bit-exact round trips for finite doubles
 deterministic bytes.  Both promises are checked literally.
 """
 
+import gzip
+import io
 import json
 import time
 from dataclasses import replace
@@ -28,6 +30,7 @@ from dmap.io import (
     load_model,
     load_prediction,
     load_split,
+    prediction_to_dict,
     run_config_fields,
     run_config_to_dict,
     save_confusion_csv,
@@ -298,6 +301,115 @@ def test_row_conversion_matches_per_token_parse(cols_and_body):
             lambda: per_token_rows(body, cols))
 
 
+
+AWKWARD_DOUBLES = np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1e-05],
+                            [1e+16, 1.7976931348623157e+308, 0.1, -1 / 3]])
+
+
+def npy_bytes(arr, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, **kwargs)
+    return buf.getvalue()
+
+
+def npy_with_header(header: str, data: bytes = b"") -> bytes:
+    """A version 1.0 ``.npy`` file with the given header text."""
+    raw = header.encode("latin1")
+    return b"\x93NUMPY\x01\x00" + len(raw).to_bytes(2, "little") + raw + data
+
+
+class TestNpyMatrices:
+    def test_round_trip_is_bitwise(self, tmp_path):
+        path = tmp_path / "m.npy"
+        save_matrix(AWKWARD_DOUBLES, path)
+        loaded = load_matrix(path)
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        assert np.array_equal(loaded.view(np.uint64), AWKWARD_DOUBLES.view(np.uint64))
+
+    def test_writes_are_c_ordered_and_deterministic(self, tmp_path):
+        a, b = tmp_path / "a.npy", tmp_path / "b.npy"
+        save_matrix(AWKWARD_DOUBLES, a)
+        save_matrix(np.asfortranarray(AWKWARD_DOUBLES), b)
+        assert a.read_bytes() == b.read_bytes() == npy_bytes(AWKWARD_DOUBLES)
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f4", "<f8", ">f8"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_float32_and_float64_convert_exactly(self, tmp_path, dtype, order):
+        arr = np.array([[0.1, -2.5, 3e38], [-0.0, 1e-40, 7.0]]).astype(dtype)
+        path = tmp_path / "m.npy"
+        path.write_bytes(npy_bytes(np.asarray(arr, order=order)))
+        loaded = load_matrix(path)
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        assert np.array_equal(loaded.view(np.uint64), arr.astype(np.float64).view(np.uint64))
+
+    @pytest.mark.parametrize("raw", [
+        npy_bytes(np.array([[1, 2]], dtype=object), allow_pickle=True),
+        npy_bytes(np.array([[1, 2]])),
+        npy_bytes(np.array([[1, 2]], dtype=np.float16)),
+        npy_bytes(np.array([[1, 2]], dtype=np.longdouble)),
+        npy_bytes(np.array([[1, 2]], dtype=complex)),
+        npy_bytes(np.zeros((1, 2), dtype=[("a", "<f8")])),
+        npy_bytes(np.ones(3)),
+        npy_bytes(np.ones((2, 2, 2))),
+        npy_bytes(np.ones(())),
+        npy_bytes(np.ones((3, 0))),
+        npy_bytes(np.array([[1.0, np.nan]])),
+        npy_bytes(np.array([[np.inf], [1.0]], dtype=np.float32)),
+        npy_bytes(np.ones((2, 2)))[:-1],
+        npy_bytes(np.ones((2, 2))) + b"\0",
+        npy_bytes(np.ones((2, 2)))[:20],
+        npy_bytes(np.ones((2, 2))).replace(b"(2, 2)", b"(2, 9)"),
+        npy_with_header("{'descr': '<f8', 'fortran_order': False, 'shape': (10**9, 10**9)}"),
+        npy_with_header("{'descr': '<f8', 'fortran_order': False, 'shape': (999999999, 9)}"),
+        # NumPy's header parser lets these escape as TypeError, IndexError,
+        # tokenize.TokenError and MemoryError, and warns on a Python 2 header.
+        npy_with_header("{[]: 1}"),
+        npy_with_header("{'descr': ('<f8',), 'fortran_order': False, 'shape': (1, 1)}",
+                        b"\0" * 8),
+        npy_with_header("{'descr': '<f8\n"),
+        npy_with_header("-" * 9000 + "1"),
+        npy_with_header("{'descr': '<f8', 'fortran_order': False, 'shape': (1L, 1L)}",
+                        b"\0" * 8),
+        npy_bytes(np.ones((2, 2))).replace(b"\x01\x00", b"\x03\x00", 1),
+        b"dmap-matrix 1 1 1\n1.0\n",
+        b"",
+    ], ids=["pickled", "int64", "float16", "longdouble", "complex", "structured", "1-D",
+            "3-D", "0-D", "empty", "nan", "inf", "truncated", "trailing-byte", "header-cut",
+            "shape-beyond-file", "shape-expression", "huge-shape", "unhashable-key",
+            "short-descr", "unterminated-header", "deep-header", "python2-header", "version-3",
+            "text", "no-bytes"])
+    def test_malformed_files_are_parse_errors(self, tmp_path, raw):
+        path = tmp_path / "m.npy"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="m.npy"):
+            load_matrix(path)
+
+    def test_gzip_wrapped_npy_refused(self, tmp_path):
+        path = tmp_path / "m.npy.gz"
+        path.write_bytes(gzip.compress(npy_bytes(np.ones((2, 2)))))
+        with pytest.raises(ParseError, match="m.npy.gz"):
+            load_matrix(path)
+        with pytest.raises(ParseError, match="m.npy.gz"):
+            save_matrix(np.ones((2, 2)), path)
+
+    @pytest.mark.parametrize("name", ["m.npy", "m.dmx"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, name):
+        for bad in (np.zeros((0, 3)), np.zeros((2, 2, 2)), np.array([[np.nan]])):
+            with pytest.raises(ValidationError):
+                save_matrix(bad, tmp_path / name)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=1, max_size=12), st.integers(1, 3))
+    def test_round_trip_property(self, values, rows):
+        import tempfile
+
+        arr = np.array(values * rows).reshape(rows, len(values))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.npy"
+            save_matrix(arr, path)
+            assert np.array_equal(load_matrix(path).view(np.uint64), arr.view(np.uint64))
+
+
 class TestSplitAndLabels:
     def test_split_round_trip(self, tmp_path):
         split = ClassSplit(seen=("a", "b"), unseen=("c",))
@@ -474,6 +586,84 @@ class TestReports:
         assert tuple(path.read_text().splitlines()[0].split(",")) == SUMMARY_HEADER
 
 
+
+SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e+16, 1.7976931348623157e+308,
+                     -1.7976931348623157e+308, 0.1, 1 / 3]),
+)
+CLASS_IDS = st.one_of(st.integers(), st.text(max_size=6))
+
+
+@st.composite
+def predictions(draw):
+    """A prediction with 0-4 candidates, 0-5 instances and mixed ids."""
+    c, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    candidates = draw(st.lists(CLASS_IDS, min_size=c, max_size=c, unique=True))
+    return Prediction(
+        instance_ids=draw(st.lists(CLASS_IDS, min_size=n, max_size=n)),
+        predicted_class=draw(st.lists(st.sampled_from(candidates), min_size=n, max_size=n))
+        if candidates else draw(st.lists(CLASS_IDS, min_size=n, max_size=n)),
+        score_matrix=np.array(draw(st.lists(st.lists(SCORES, min_size=n, max_size=n),
+                                            min_size=c, max_size=c)),
+                              dtype=np.float64).reshape(c, n),
+        candidate_ids=candidates,
+    )
+
+
+class TestPredictionWriter:
+    """``save_prediction`` writes its table without the ``json`` encoder; the
+    reference is ``json.dumps(..., sort_keys=True, indent=2)``."""
+
+    @staticmethod
+    def reference(prediction, mode) -> bytes:
+        obj = prediction_to_dict(prediction, mode)
+        return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+    @given(predictions(), st.sampled_from(["czsr", "gzsr", "", "\u00e9\u4e2d"]))
+    def test_bytes_match_json_dumps(self, prediction, mode):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pred.json"
+            save_prediction(prediction, mode, path)
+            assert path.read_bytes() == self.reference(prediction, mode)
+
+    @pytest.mark.parametrize("scores, candidates, instances", [
+        ([[-0.0]], ["a"], ["x"]),
+        ([[5e-324, 1e-05, 1e+16, 1.7976931348623157e+308, 2.5e-310]], [7], [0, 1, 2, "\u00e9", "x"]),
+        ([[0.5], [-1.0], [1e300]], ["a", 2, "\u4e2d"], ["only"]),
+    ], ids=["1x1", "one-candidate", "one-instance"])
+    def test_small_tables(self, tmp_path, scores, candidates, instances):
+        prediction = Prediction(instances, [candidates[0]] * len(instances), np.array(scores),
+                                candidates)
+        save_prediction(prediction, "czsr", tmp_path / "pred.json")
+        assert (tmp_path / "pred.json").read_bytes() == self.reference(prediction, "czsr")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_refused(self, tmp_path, bad):
+        prediction = Prediction(["x", "y"], ["a", "a"], np.array([[1.0, bad]]), ["a"])
+        with pytest.raises(ValidationError, match="finite"):
+            save_prediction(prediction, "czsr", tmp_path / "pred.json")
+        assert not (tmp_path / "pred.json").exists()
+
+
+
+#: A ``dmap-model 1`` directory with its inputs and predictions, all written
+#: by the text-format writer before ``dmap-model 2``.  Its arrays are dyadic
+#: fractions, so predictions are exact on any BLAS, except ``k_tilde_s``
+#: (not read at predict time), which holds doubles whose text is awkward.
+V1_FIXTURE = Path(__file__).parent / "data" / "model_v1"
+V1_MODEL = {
+    "f_s": np.array([[1, 0, 2], [0, 1, -1], [2, -1, 0], [1, 1, 1]]) / 2,
+    "f_tilde": np.array([[1.0, 0, 0, 1], [0, 2, 1, 0], [1, 0, 1, 0], [0, 1, 0, 2]]),
+    "k_tilde_s": np.array([[-0.0, 5e-324, 0.1],
+                           [2.2250738585072014e-308, 1.7976931348623157e+308, 1 / 3],
+                           [1e-05, 1e+16, -2.5e-310], [0.5, -1.5, 123456789.125]]),
+    "feature_mean": np.array([0.5, -0.25, 1.0, 0.0]),
+}
+
 class TestModelDirectories:
     def test_model_round_trip_preserves_behaviour(self, tmp_path):
         synth_cfg, run_cfg = exact_recovery_setup(seed=6)
@@ -507,6 +697,44 @@ class TestModelDirectories:
         assert loaded.feature_mean is not None
         assert np.array_equal(loaded.feature_mean, model.feature_mean)
 
+    def test_v2_round_trip_is_bitwise(self, tmp_path):
+        synth_cfg, run_cfg = exact_recovery_setup(seed=7)
+        model = train(generate(synth_cfg).train, replace(run_cfg, center=True))
+        save_model(model, tmp_path / "model")
+        assert sorted(p.name for p in (tmp_path / "model").iterdir()) == [
+            "f_s.npy", "f_tilde.npy", "feature_mean.npy", "k_tilde_s.npy", "model.json"]
+        assert json.loads((tmp_path / "model" / "model.json").read_text())["schema"] == \
+            "dmap-model 2"
+        loaded = load_model(tmp_path / "model")
+        for got, want in ((loaded.f_s, model.f_s), (loaded.f_tilde, model.f_tilde),
+                          (loaded.k_tilde_s.data, model.k_tilde_s.data),
+                          (loaded.feature_mean, model.feature_mean)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert loaded.k_tilde_s.class_ids == model.k_tilde_s.class_ids
+        assert loaded.config == model.config
+
+    def test_v1_directory_loads_bitwise(self):
+        # Written by the dmap-model 1 writer (text matrices); see V1_MODEL.
+        loaded = load_model(V1_FIXTURE / "model")
+        for got, want in ((loaded.f_s, V1_MODEL["f_s"]), (loaded.f_tilde, V1_MODEL["f_tilde"]),
+                          (loaded.k_tilde_s.data, V1_MODEL["k_tilde_s"]),
+                          (loaded.feature_mean, V1_MODEL["feature_mean"])):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert loaded.k_tilde_s.class_ids == ("s0", "s1", "s2")
+        assert loaded.config == DmapConfig(m=2, test_max_iter=2, center=True)
+        assert loaded.train_iterations_run == 1
+
+    def test_v1_directory_resaves_as_v2_with_the_same_arrays(self, tmp_path):
+        v1 = load_model(V1_FIXTURE / "model")
+        save_model(v1, tmp_path / "model")
+        v2 = load_model(tmp_path / "model")
+        for name in ("f_s", "f_tilde", "feature_mean"):
+            assert getattr(v2, name).tobytes() == getattr(v1, name).tobytes()
+        assert v2.k_tilde_s.data.tobytes() == v1.k_tilde_s.data.tobytes()
+        assert v2.config == v1.config
+
     def test_non_model_directory_rejected(self, tmp_path):
         (tmp_path / "model.json").write_text(json.dumps({"schema": "other"}))
         with pytest.raises(ParseError):
@@ -538,3 +766,19 @@ class TestDatasetDirectories:
         )
         with pytest.raises(ShapeMismatch):
             load_dataset(tmp_path / "data")
+
+    def test_matrices_may_be_npy(self, tmp_path):
+        synth_cfg, _ = exact_recovery_setup(seed=9)
+        save_dataset(generate(synth_cfg), tmp_path / "data")
+        want = load_dataset(tmp_path / "data")
+        for stem in ("train_features", "test_features", "embeddings"):
+            text = tmp_path / "data" / f"{stem}.dmx"
+            save_matrix(load_matrix(text), text.with_suffix(".npy"))
+            with pytest.raises(ParseError, match=f"both {stem}.dmx and {stem}.npy"):
+                load_dataset(tmp_path / "data")
+            text.unlink()
+        got = load_dataset(tmp_path / "data")
+        assert got[0].features.data.tobytes() == want[0].features.data.tobytes()
+        assert got[1].data.tobytes() == want[1].data.tobytes()
+        assert got[3].data.tobytes() == want[3].data.tobytes()
+        assert got[0].labels == want[0].labels and got[2] == want[2]

@@ -2,7 +2,8 @@
 predict, evaluate, and run the whole pipeline.
 
 Exit codes: 0 success; 2 input validation; 3 numerical failure
-(ill-conditioned or singular systems); 4 file I/O or format problems.
+(ill-conditioned or singular systems, or results that overflow); 4 file
+I/O or format problems.
 Structured errors go to stderr as one JSON object.
 
 Configuration precedence is flags > config file > built-in defaults; at

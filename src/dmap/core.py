@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MissingClass,
+    NumericalError,
     UnknownLabel,
     ValidationError,
 )
@@ -46,6 +47,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what} contains non-finite entries (NaN or Inf)")
+
+
+def _finite_result(a: np.ndarray, what: str) -> np.ndarray:
+    """Return the computed array ``a``, or raise ``NumericalError`` if it
+    overflowed to Inf or NaN.  Callers compute ``a`` under
+    ``np.errstate(over="ignore", invalid="ignore")``, so this error takes
+    the place of NumPy's ``RuntimeWarning``."""
+    if not np.isfinite(a).all():
+        raise NumericalError(f"{what} are not finite; the inputs overflow float64, "
+                             "rescale them")
+    return a
 
 
 #: Accepted value types by dataclass field annotation.

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .core import as_array, _freeze
+from .core import _finite_result, _freeze, as_array
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 #: Gram matrices with estimated condition above this are refused.
@@ -165,13 +165,16 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float, *,
 
 
 def predict_semantic(V, X) -> np.ndarray:
-    """Apply the map ``V`` (``d x p``) to every column: returns ``V^T X`` with shape (p, n)."""
+    """Apply the map ``V`` (``d x p``) to every column: returns ``V^T X`` with shape (p, n).
+
+    Raises ``NumericalError`` when a prediction is not finite."""
     V, X = as_array(V), as_array(X)
     if V.shape[0] != X.shape[0]:
         raise DimensionMismatch(
             f"map expects {V.shape[0]}-dimensional features, got {X.shape[0]}"
         )
-    return V.T @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_result(V.T @ X, "predictions")
 
 
 def ridge_objective(V, X, K, Y, gamma: float, eta: float) -> float:

@@ -37,6 +37,7 @@ from .core import (
     FeatureMatrix,
     LabeledDataset,
     _class_ids,
+    _finite_result,
     as_array,
     build_label_matrix,
     center_columns,
@@ -200,12 +201,20 @@ def knn_prototype(class_anchor, predictions, features, m: int, *,
 
 def _refine_prototypes(anchors, predictions, features, m: int) -> np.ndarray:
     """One prototype per anchor column: :func:`knn_prototype` for each
-    anchor, with the keys of all anchors from one GEMM."""
+    anchor, with the keys of all anchors from one GEMM.
+
+    Unlike :func:`knn_prototype`, raises ``NumericalError`` when a search
+    key, its band half-width or a prototype is not finite."""
     A = np.asarray(as_array(anchors), dtype=np.float64)
     P, X, m = _search_inputs(A, predictions, features, m)
-    keys, widths = _search_keys(A, P)
-    return np.stack([knn_prototype(a, P, X, m, search=(key, width))
-                     for a, key, width in zip(A.T, keys, widths)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys, widths = _search_keys(A, P)
+        _finite_result(keys, "search keys")
+        _finite_result(widths, "search-key error bounds")
+        return _finite_result(
+            np.stack([knn_prototype(a, P, X, m, search=(key, width))
+                      for a, key, width in zip(A.T, keys, widths)], axis=1),
+            "prototypes")
 
 
 def _search_inputs(A: np.ndarray, predictions, features, m: int):
@@ -350,8 +359,10 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
 
 def _score_and_predict(candidates: np.ndarray, candidate_ids: tuple,
                        predictions: np.ndarray, instance_ids: tuple) -> Prediction:
-    """Inner-product scores; argmax ties resolve to the lower candidate index."""
-    scores = candidates.T @ predictions
+    """Inner-product scores; argmax ties resolve to the lower candidate index.
+    Non-finite scores raise ``NumericalError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _finite_result(candidates.T @ predictions, "scores")
     winners = np.argmax(scores, axis=0)
     return Prediction(
         instance_ids=instance_ids,

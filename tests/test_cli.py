@@ -6,6 +6,9 @@ import contextlib
 import gzip
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,8 @@ from dmap import io as dio
 from dmap.cli import main
 from dmap.errors import ParseError, ShapeMismatch
 from dmap.model import Prediction
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXACT_SYNTH = {
     "d": 30, "p": 10, "k": 15, "l": 5, "n_per_class": 10,
@@ -451,25 +456,47 @@ def test_predict_on_a_v1_model_gives_its_writers_bytes(tmp_path, out, flags, sch
         assert (tmp_path / ktilde).read_bytes() == (V1_FIXTURE / ktilde).read_bytes()
 
 
-def test_non_finite_scores_exit_2(exact_data_dir, tmp_path, capsys):
-    # Every input is finite, but the inductive scores overflow; they used to
-    # be written as Infinity, which load_prediction then refused.
+def run_dmap(argv, **env):
+    """Run ``python -m dmap.cli ARGV`` in a fresh interpreter, with the
+    environment of :func:`child_env`."""
+    return subprocess.run([sys.executable, "-m", "dmap.cli", *argv],
+                          env=child_env(**env), capture_output=True, text=True)
+
+
+def child_env(**env):
+    """This process's environment with ``src`` on the path and ``env`` laid
+    over it; a ``None`` value removes the variable."""
+    merged = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    return {name: value for name, value in merged.items() if value is not None}
+
+
+@pytest.mark.parametrize("feature_scale, unseen_scale, flags, error_at", [
+    (1e300, 1e300, ["--inductive"], "scores"),
+    (1e6, 1e308, ["--inductive"], "scores"),
+    (1e6, 1e308, [], "search keys"),
+], ids=["inductive-1e300", "inductive-1e308", "transductive-1e308"])
+def test_overflowing_predict_exits_3(exact_data_dir, tmp_path, feature_scale, unseen_scale,
+                                     flags, error_at):
+    # Every input is finite, but a product of them overflows.  The error
+    # is raised where the overflow arises, in place of NumPy's warnings.
+    # exact_data_dir and EXACT_FLAGS are exact_recovery_setup()'s world.
     model_dir = train_model(exact_data_dir, tmp_path / "model")
     data = tmp_path / "data"
     data.mkdir()
-    for name in ("split.json", "test_labels.json"):
-        (data / name).write_bytes((exact_data_dir / name).read_bytes())
+    (data / "split.json").write_bytes((exact_data_dir / "split.json").read_bytes())
     emb = dio.load_matrix(exact_data_dir / "embeddings.dmx")
-    emb[:, EXACT_SYNTH["k"]:] *= 1e300
+    emb[:, EXACT_SYNTH["k"]:] *= unseen_scale
     dio.save_matrix(emb, data / "embeddings.dmx")
-    dio.save_matrix(dio.load_matrix(exact_data_dir / "test_features.dmx") * 1e300,
+    dio.save_matrix(dio.load_matrix(exact_data_dir / "test_features.dmx") * feature_scale,
                     data / "test_features.dmx")
     out = tmp_path / "pred.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(predict_argv(model_dir, data, out) + ["--inductive"])
-    assert code == 2
-    assert one_json_error(capsys) == "ValidationError"
-    assert not out.exists()
+    result = run_dmap(predict_argv(model_dir, data, out) + flags)
+    assert result.returncode == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "NumericalError" and err["message"].startswith(error_at)
+    assert not out.exists() and not (tmp_path / "pred_ktilde_u.dmx").exists()
 
 
 def test_pipeline_reads_npy_data_dir_with_the_same_results(exact_data_dir, tmp_path, capsys):
@@ -791,6 +818,36 @@ class TestExitCodes:
         cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=1)
         assert main(["--threads", "2", "synth", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 0
+
+
+# --- OpenBLAS worker timeout ---------------------------------------------------
+
+def test_openblas_timeout_changes_no_output_byte(tmp_path):
+    # The cub-cli bench world: at d=256 with 1,500 training columns
+    # OpenBLAS threads its GEMM and LAPACK calls.
+    cfg = write_synth_config(tmp_path, d=256, p=160, k=150, l=50, n_per_class=10,
+                             noise_sigma=0.05, irc_distortion=0.2, seed=1)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
+    runs = {}
+    for timeout in ("4", "28"):  # the package default, OpenBLAS's own
+        out = tmp_path / f"timeout{timeout}"
+        result = run_dmap(["--threads", "2", "pipeline", "--data-dir", str(tmp_path / "data"),
+                           "--out-dir", str(out), "--m", "10", "--gamma", "1", "--eta", "1",
+                           "--test-max-iter", "3"], OPENBLAS_THREAD_TIMEOUT=timeout)
+        assert result.returncode == 0, result.stderr
+        runs[timeout] = {path.relative_to(out): path.read_bytes()
+                         for path in out.rglob("*") if path.is_file()}
+    assert len(runs["4"]) == 16
+    assert runs["4"] == runs["28"]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("28", "28")])
+def test_import_sets_the_openblas_timeout_before_blas_loads(preset, expected):
+    probe = ("import os, sys; import dmap; print(os.environ['OPENBLAS_THREAD_TIMEOUT'], "
+             "'numpy' in sys.modules, 'scipy.linalg' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=child_env(OPENBLAS_THREAD_TIMEOUT=preset))
+    assert result.stdout.split() == [expected, "False", "False"], result.stderr
 
 
 # --- malformed bytes and fuzzed inputs ----------------------------------------

@@ -1,13 +1,14 @@
 """Closed-form ridge map: oracle equivalence, optimality, and guards."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap.errors import DimensionMismatch, SingularSystem, ValidationError
+from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, ValidationError
 from dmap.linmap import (
     COND_LIMIT,
     predict_semantic,
@@ -205,6 +206,13 @@ class TestPredictSemantic:
         V = rng.normal(size=(4, 3))
         with pytest.raises(DimensionMismatch):
             predict_semantic(V, rng.normal(size=(5, 2)))
+
+    @pytest.mark.parametrize("scale", [1e300, np.inf, np.nan])
+    def test_non_finite_predictions_raise_without_warnings(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^predictions"):
+                predict_semantic(np.full((2, 1), scale), np.full((2, 3), 1e300))
 
 
 @settings(max_examples=25)

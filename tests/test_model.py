@@ -7,6 +7,7 @@ ties are genuine, so equality can be demanded bitwise.
 """
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmap.core import EmbeddingMatrix, class_mean_prototypes
-from dmap.errors import DimensionMismatch, EmptyTestSet, ValidationError
+from dmap.errors import DimensionMismatch, EmptyTestSet, NumericalError, ValidationError
 from dmap.linmap import predict_semantic, solve_ridge_map
 from dmap.model import (
     CZSR,
@@ -603,3 +604,28 @@ def test_batched_refinement_matches_stable_argsort_oracle(kind, m_case, seed):
         expected = stable_argsort_prototype(anchors[:, c], predictions, features, m)
         assert np.array_equal(got[:, c], expected)
     assert np.array_equal(knn_prototype(anchors[:, 0], predictions, features, m), got[:, 0])
+
+
+@pytest.mark.parametrize("edit, error", [
+    ("nan", "search keys"), ("overflow", "search keys"),
+    ("anchor", "search-key error bounds"),  # finite keys, but |a|^2 overflows
+])
+def test_non_finite_search_keys_are_refused_by_refinement_only(edit, error):
+    # knn_prototype keeps its handling of non-finite keys and widths (the
+    # band takes them, so the reference distances decide); refinement,
+    # which training and inference run, refuses them instead of warning.
+    rng = np.random.default_rng(7)
+    anchor, predictions, features = rng.normal(size=3), rng.normal(size=(3, 8)), rng.normal(size=(2, 8))
+    if edit == "nan":
+        predictions[1, 2] = np.nan
+    elif edit == "overflow":
+        predictions[:, 5] *= 1e200
+    else:
+        anchor[0] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = stable_argsort_prototype(anchor, predictions, features, 4)
+        assert np.array_equal(knn_prototype(anchor, predictions, features, 4), expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{error} "):
+            _refine_prototypes(anchor[:, None], predictions, features, 4)

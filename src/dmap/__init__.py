@@ -56,8 +56,6 @@ _EXPORTS = {
     "solve_ridge_map": "linmap",
     "ridge_feature_side": "linmap",
     "predict_semantic": "linmap",
-    "ridge_objective": "linmap",
-    "stationarity_residual": "linmap",
     # relationship consistency and pre-inspection
     "DefectReport": "consistency",
     "build_relationship_matrix": "consistency",

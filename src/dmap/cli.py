@@ -1,10 +1,10 @@
 """Command-line surface: generate data, inspect semantic spaces, train,
 predict, evaluate, and run the whole pipeline.
 
-Exit codes: 0 success; 2 input validation; 3 numerical failure
-(ill-conditioned or singular systems, or results that overflow); 4 file
-I/O or format problems.
-Structured errors go to stderr as one JSON object.
+Exit codes: 0 success; 2 input validation or a usage error; 3 numerical
+failure (ill-conditioned or singular systems, or results that overflow);
+4 file I/O or format problems.
+Every failure, a usage error included, goes to stderr as one JSON object.
 
 Configuration precedence is flags > config file > built-in defaults; at
 predict time the model's stored config takes the place of the defaults,
@@ -29,6 +29,35 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, of the command or of any subcommand, as one
+    JSON line with ``"error": "UsageError"`` and exits 2."""
+
+    def error(self, message):
+        _report_error("UsageError", message)
+        raise SystemExit(2)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # Before Python 3.12, argparse turns the value of "--flag=--" into an
+        # empty list without calling the flag's type; no flag here takes a list.
+        for name, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument {name}: expected one value, got '--'")
+        return parsed
+
+
+def _thread_count(text: str) -> int:
+    """The value of ``--threads``: a positive integer."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return count
 
 
 def _apply_threads(threads: int | None) -> None:
@@ -122,7 +151,7 @@ def _cmd_predict(args) -> int:
     from dataclasses import replace
 
     from . import io as dio
-    from .core import FeatureMatrix
+    from .core import FeatureMatrix, default_instance_ids
     from .errors import ValidationError
     from .model import TRAINED_FIELDS, infer_inductive, infer_transductive
 
@@ -138,7 +167,7 @@ def _cmd_predict(args) -> int:
     split = dio.load_split(args.split)
     embeddings = dio.load_embeddings(args.embeddings, split)
     X = dio.load_matrix(args.test_features)
-    test = FeatureMatrix(X, tuple(f"te{i:06d}" for i in range(X.shape[1])))
+    test = FeatureMatrix(X, default_instance_ids(X.shape[1], "te"))
     K_unseen = embeddings.subset(split.unseen)
     K_seen = embeddings.subset(split.seen)
     _ensure_parent(args.out)
@@ -259,11 +288,11 @@ def _cmd_pipeline(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmap",
         description="Zero-shot recognition with dual visual-semantic mapping paths.",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_thread_count, default=None,
                         help="cap linear-algebra thread pools (default: machine)")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -337,23 +366,19 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        _report_error(exc)
+    except (FileFormatError, OSError) as exc:
+        _report_error(type(exc).__name__, str(exc))
         return 4
     except NumericalError as exc:
-        _report_error(exc)
+        _report_error(type(exc).__name__, str(exc))
         return 3
     except DmapError as exc:
-        _report_error(exc)
+        _report_error(type(exc).__name__, str(exc))
         return 2
-    except OSError as exc:
-        _report_error(exc)
-        return 4
 
 
-def _report_error(exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+def _report_error(error: str, message: str) -> None:
+    print(json.dumps({"error": error, "message": message}, sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

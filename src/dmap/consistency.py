@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import _class_ids, _freeze, as_array, class_mean_prototypes
+from .core import _class_ids, _freeze, _relative_gap, as_array, class_mean_prototypes
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -69,9 +69,10 @@ def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) ->
         )
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
-    gram = P.T @ P + lam * np.eye(P.shape[1])
-    # One matrix-vector product per column: the GEMM P.T @ U rounds differently.
-    rhs = np.matmul(P.T, U.T[:, :, None])[:, :, 0].T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        gram = P.T @ P + lam * np.eye(P.shape[1])
+        # One matrix-vector product per column: the GEMM P.T @ U rounds differently.
+        rhs = np.matmul(P.T, U.T[:, :, None])[:, :, 0].T
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SingularSystem("relationship system has non-finite entries; rescale the inputs")
     try:
@@ -131,9 +132,7 @@ def irc_gap(seen_prototypes, R_x, R_k) -> float:
     Zero exactly when the inter-class relationships agree; the
     denominator is floored at the smallest positive normal double.
     """
-    img_x, img_k = _relationship_images(seen_prototypes, R_x, R_k)
-    ref = np.linalg.norm(img_k)
-    return float(np.linalg.norm(img_x - img_k) / max(ref, np.finfo(np.float64).tiny))
+    return _relative_gap(*_relationship_images(seen_prototypes, R_x, R_k))
 
 
 def consistency_report(features, labels, split, embeddings, lam: float) -> tuple[float, float]:

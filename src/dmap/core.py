@@ -11,6 +11,9 @@ prototype spaces built in feature dimension (``K~``, class means,
 ``dim = d``) are all ``EmbeddingMatrix``.  This single orientation is
 used everywhere to avoid transposition ambiguity between modules, and
 :func:`_class_codes` is the one map from class ids to columns.
+Positional instance ids (``i000000`` for a plain test batch, ``tr000000``
+and ``te000000`` for training and test files and synthetic worlds) all
+come from :func:`default_instance_ids`.
 
 All types are immutable after construction (arrays are marked
 read-only), so values can be shared freely across threads.
@@ -89,9 +92,34 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def default_instance_ids(n: int) -> tuple[str, ...]:
-    """Positional instance identifiers ``i000000, i000001, ...``."""
-    return tuple(f"i{j:06d}" for j in range(n))
+def default_instance_ids(n: int, prefix: str = "i") -> tuple[str, ...]:
+    """Positional instance identifiers ``<prefix>000000, <prefix>000001, ...``."""
+    return tuple(f"{prefix}{j:06d}" for j in range(n))
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative Frobenius gap ``||a - b|| / ||b||``, the denominator floored
+    at the smallest positive normal double."""
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), np.finfo(np.float64).tiny))
+
+
+def _init_columns(matrix, ids_field: str, default_ids, what: str, axes: str, columns: str):
+    """Check and store ``matrix.data`` (read-only float64, 2-D, non-empty,
+    finite) and its column ids, field ``ids_field``: one unique id per
+    column, ``default_ids(n)`` when omitted."""
+    data = _freeze(np.atleast_2d(as_array(matrix.data)))
+    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
+        raise ValidationError(f"{what} must be 2-D with {axes} >= 1, got shape {data.shape}")
+    _require_finite(data, what)
+    ids = getattr(matrix, ids_field)
+    ids = tuple(default_ids(data.shape[1]) if ids is None else ids)
+    noun = ids_field.replace("_", " ")  # "instance ids", "class ids"
+    if len(ids) != data.shape[1]:
+        raise ValidationError(f"{len(ids)} {noun} for {data.shape[1]} {columns}")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"{noun} are not unique")
+    object.__setattr__(matrix, "data", data)
+    object.__setattr__(matrix, ids_field, ids)
 
 
 @dataclass(frozen=True)
@@ -111,20 +139,8 @@ class FeatureMatrix:
     instance_ids: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        data = _freeze(np.atleast_2d(as_array(self.data)))
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValidationError(f"feature matrix must be 2-D with d,n >= 1, got shape {data.shape}")
-        _require_finite(data, "feature matrix")
-        ids = self.instance_ids
-        if ids is None:
-            ids = default_instance_ids(data.shape[1])
-        ids = tuple(ids)
-        if len(ids) != data.shape[1]:
-            raise ValidationError(f"{len(ids)} instance ids for {data.shape[1]} instances")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("instance ids are not unique")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "instance_ids", ids)
+        _init_columns(self, "instance_ids", default_instance_ids, "feature matrix", "d,n",
+                      "instances")
 
     @property
     def d(self) -> int:
@@ -150,23 +166,11 @@ class EmbeddingMatrix:
     class_ids: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        data = _freeze(np.atleast_2d(as_array(self.data)))
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValidationError(f"embedding matrix must be 2-D with p,c >= 1, got shape {data.shape}")
-        _require_finite(data, "embedding matrix")
-        ids = self.class_ids
-        if ids is None:
-            ids = tuple(f"c{j:04d}" for j in range(data.shape[1]))
-        ids = tuple(ids)
-        if len(ids) != data.shape[1]:
-            raise ValidationError(f"{len(ids)} class ids for {data.shape[1]} embedding columns")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("class ids are not unique")
-        zero = [ids[j] for j in np.flatnonzero(~data.any(axis=0))]
+        _init_columns(self, "class_ids", lambda c: tuple(f"c{j:04d}" for j in range(c)),
+                      "embedding matrix", "p,c", "embedding columns")
+        zero = [self.class_ids[j] for j in np.flatnonzero(~self.data.any(axis=0))]
         if zero:
             logger.warning("embedding columns are identically zero for classes: %s", zero)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "class_ids", ids)
 
     def column(self, class_id) -> np.ndarray:
         """The embedding vector of one class."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import _class_codes, as_array
 from .errors import MissingInstance, UnknownClass, ValidationError
-from .model import CZSR, GZSR, Prediction
+from .model import CZSR, Prediction, _check_mode
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ def evaluate(prediction: Prediction, ground_truth: Sequence,
     UnknownClass
         If a ground-truth or predicted class is not a candidate.
     """
-    mode = CZSR if mode is None else mode
-    if mode not in (CZSR, GZSR):
-        raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {mode!r}")
+    mode = _check_mode(CZSR if mode is None else mode)
     truth = tuple(ground_truth)
     if len(truth) != len(prediction.instance_ids):
         raise MissingInstance(

@@ -39,6 +39,7 @@ from .core import (
     LabeledDataset,
     _freeze,
     as_array,
+    default_instance_ids,
 )
 from .errors import ParseError, ShapeMismatch, ValidationError
 from .evaluation import EvalReport
@@ -288,8 +289,8 @@ def run_config_fields(obj: Mapping) -> dict:
 
 # --- reports ---------------------------------------------------------------
 
-def defect_report_to_dict(report: DefectReport) -> dict:
-    return {
+def save_defect_report(report: DefectReport, path) -> None:
+    _dump_json({
         "epsilon": float(report.epsilon),
         "class_ids": list(report.class_ids),
         "pairwise_distances": [[float(v) for v in row] for row in report.pairwise_distances],
@@ -297,26 +298,18 @@ def defect_report_to_dict(report: DefectReport) -> dict:
             {"class_i": i, "class_j": j, "distance": float(d)}
             for (i, j, d) in report.flagged_pairs
         ],
-    }
+    }, path)
 
 
-def save_defect_report(report: DefectReport, path) -> None:
-    _dump_json(defect_report_to_dict(report), path)
-
-
-def eval_report_to_dict(report: EvalReport) -> dict:
-    return {
+def save_eval_report(report: EvalReport, path) -> None:
+    _dump_json({
         "mode": report.mode,
         "mean_per_class_accuracy": float(report.mean_per_class_accuracy),
         "per_class_accuracy": {str(k): float(v) for k, v in report.per_class_accuracy.items()},
         "top_k_accuracy": {str(k): float(v) for k, v in report.top_k_accuracy.items()},
         "candidates": list(report.candidate_ids),
         "confusion": [[int(v) for v in row] for row in report.confusion],
-    }
-
-
-def save_eval_report(report: EvalReport, path) -> None:
-    _dump_json(eval_report_to_dict(report), path)
+    }, path)
 
 
 def save_confusion_csv(report: EvalReport, path) -> None:
@@ -328,23 +321,12 @@ def save_confusion_csv(report: EvalReport, path) -> None:
             writer.writerow([str(cid)] + [str(int(v)) for v in report.confusion[i]])
 
 
-def _prediction_without_scores(prediction: Prediction, mode: str) -> dict:
-    return {
-        "mode": mode,
-        "instance_ids": list(prediction.instance_ids),
-        "predicted": list(prediction.predicted_class),
-        "candidates": list(prediction.candidate_ids),
-    }
-
-
-def prediction_to_dict(prediction: Prediction, mode: str) -> dict:
-    return {**_prediction_without_scores(prediction, mode),
-            "scores": np.asarray(prediction.score_matrix, dtype=np.float64).tolist()}
-
-
 def save_prediction(prediction: Prediction, mode: str, path) -> None:
-    """Write the bytes of ``json.dumps(prediction_to_dict(prediction, mode),
-    sort_keys=True, indent=2)`` and a newline.
+    """Write the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    newline, where ``obj`` maps ``"mode"`` to ``mode``, ``"instance_ids"``,
+    ``"predicted"`` and ``"candidates"`` to lists of the prediction's
+    instance ids, predicted classes and candidate ids, and ``"scores"`` to
+    the score matrix as a list of rows of floats.
 
     Any indent makes ``json`` use its pure-Python encoder, so only the id
     lists go through it.  The score table, whose key sorts last, is joined
@@ -354,7 +336,12 @@ def save_prediction(prediction: Prediction, mode: str, path) -> None:
     scores = np.asarray(prediction.score_matrix, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValidationError(f"prediction scores must be finite doubles: {path}")
-    head = json.dumps(_prediction_without_scores(prediction, mode), sort_keys=True, indent=2)
+    head = json.dumps({
+        "mode": mode,
+        "instance_ids": list(prediction.instance_ids),
+        "predicted": list(prediction.predicted_class),
+        "candidates": list(prediction.candidate_ids),
+    }, sort_keys=True, indent=2)
     rows = ["[\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" if row.size
             else "[]" for row in scores]
     table = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
@@ -530,7 +517,7 @@ def load_training_set(features_path, labels_path, split_path, embeddings_path) -
     split = load_split(split_path)
     embeddings = load_embeddings(embeddings_path, split)
     X = load_matrix(features_path)
-    features = FeatureMatrix(X, tuple(f"tr{i:06d}" for i in range(X.shape[1])))
+    features = FeatureMatrix(X, default_instance_ids(X.shape[1], "tr"))
     return LabeledDataset(features=features, labels=load_labels(labels_path), split=split,
                           semantic=embeddings)
 
@@ -553,5 +540,5 @@ def load_dataset(directory) -> tuple[LabeledDataset, FeatureMatrix, tuple, Embed
                               directory / "train_labels.json", directory / "split.json",
                               _dataset_matrix(directory, "embeddings"))
     test_X = load_matrix(_dataset_matrix(directory, "test_features"))
-    test = FeatureMatrix(test_X, tuple(f"te{i:06d}" for i in range(test_X.shape[1])))
+    test = FeatureMatrix(test_X, default_instance_ids(test_X.shape[1], "te"))
     return train, test, load_labels(directory / "test_labels.json"), train.semantic

@@ -175,26 +175,3 @@ def predict_semantic(V, X) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite_result(V.T @ X, "predictions")
-
-
-def ridge_objective(V, X, K, Y, gamma: float, eta: float) -> float:
-    """Objective value at ``V`` (used by tests and diagnostics)."""
-    V, X, K, Y = as_array(V), as_array(X), as_array(K), as_array(Y)
-    fit = X.T @ V @ K - Y
-    return float(
-        np.sum(fit * fit)
-        + gamma * np.sum((V @ K) ** 2)
-        + eta * np.sum((X.T @ V) ** 2)
-        + gamma * eta * np.sum(V * V)
-    )
-
-
-def stationarity_residual(V, X, K, Y, gamma: float, eta: float) -> np.ndarray:
-    """Gradient of the objective at ``V``; identically zero at the minimiser."""
-    V, X, K, Y = as_array(V), as_array(X), as_array(K), as_array(Y)
-    return (
-        2.0 * X @ (X.T @ V @ K - Y) @ K.T
-        + 2.0 * gamma * V @ (K @ K.T)
-        + 2.0 * eta * (X @ X.T) @ V
-        + 2.0 * gamma * eta * V
-    )

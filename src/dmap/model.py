@@ -38,6 +38,8 @@ from .core import (
     LabeledDataset,
     _class_ids,
     _finite_result,
+    _relative_gap,
+    _require_finite,
     as_array,
     build_label_matrix,
     center_columns,
@@ -57,6 +59,13 @@ GZSR = "gzsr"
 #: that work well for CNN features with attribute/word-vector embeddings.
 DEFAULT_GAMMA = 10.0 ** 1.35
 DEFAULT_ETA = 10.0 ** 4.8
+
+
+def _check_mode(mode):
+    """``mode`` itself, or ``ValidationError`` unless it is ``czsr`` or ``gzsr``."""
+    if mode not in (CZSR, GZSR):
+        raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -111,8 +120,7 @@ class DmapConfig:
             raise ValidationError("iteration caps must be nonnegative")
         if self.convergence_tol <= 0:
             raise ValidationError("convergence_tol must be positive")
-        if self.mode not in (CZSR, GZSR):
-            raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {self.mode!r}")
+        _check_mode(self.mode)
 
 
 #: The ``DmapConfig`` fields a trained model's maps and prototypes were fit
@@ -297,11 +305,6 @@ def _key_error_bound(A: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
     return 8.0 * (A.shape[0] + 4) * (finfo.eps * scale + finfo.tiny)
 
 
-def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    ref = np.linalg.norm(old)
-    return float(np.linalg.norm(new - old) / max(ref, np.finfo(np.float64).tiny))
-
-
 def _prepare_features(X: np.ndarray, config: DmapConfig,
                       mean: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     if config.center:
@@ -340,7 +343,7 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
                                   feature_side=T)
         preds_tilde = predict_semantic(f_tilde, X)
         refined = _refine_prototypes(k_tilde, preds_tilde, X, config.m)
-        delta = _relative_change(refined, k_tilde)
+        delta = _relative_gap(refined, k_tilde)
         k_tilde = refined
         iterations_run += 1
         if delta < config.convergence_tol:
@@ -372,37 +375,59 @@ def _score_and_predict(candidates: np.ndarray, candidate_ids: tuple,
     )
 
 
-def _test_arrays(model: DmapModel, X_test) -> tuple[np.ndarray, tuple]:
-    if isinstance(X_test, FeatureMatrix):
-        ids = X_test.instance_ids
-        X = X_test.data
-    else:
-        X = as_array(X_test)
-        ids = default_instance_ids(X.shape[1])
-    if X.shape[1] < 1:
-        raise EmptyTestSet("no test instances")
-    X, _ = _prepare_features(X, model.config, model.feature_mean)
-    return X, ids
+def _input_matrix(x, what: str) -> np.ndarray:
+    """The array of a ``FeatureMatrix`` or ``EmbeddingMatrix``, checked when
+    it was built, or of any other input, checked here: ``ValidationError``
+    naming it as ``what`` unless it is a 2-D matrix of finite values."""
+    if isinstance(x, (FeatureMatrix, EmbeddingMatrix)):
+        return x.data
+    a = as_array(x)
+    if a.ndim != 2:
+        raise ValidationError(f"{what} must be 2-D, got shape {a.shape}")
+    _require_finite(a, what)
+    return a
 
 
 def _candidates(model: DmapModel, mode: str | None, unseen, seen) -> tuple[np.ndarray, tuple]:
     """Candidate matrix and ids under ``mode`` (default: the model's): the
     unseen classes (``czsr``), or the seen followed by the unseen (``gzsr``)."""
-    mode = model.config.mode if mode is None else mode
-    if mode not in (CZSR, GZSR):
-        raise ValidationError(f"mode must be {CZSR!r} or {GZSR!r}, got {mode!r}")
-    Ku = as_array(unseen)
+    mode = _check_mode(model.config.mode if mode is None else mode)
+    Ku = _input_matrix(unseen, "unseen embedding matrix")
     if mode == CZSR:
         return Ku, _class_ids(unseen, "u")
     if seen is None:
         raise ValidationError("gzsr inference needs the seen embeddings")
-    Ks = as_array(seen)
+    Ks = _input_matrix(seen, "seen embedding matrix")
     if Ks.shape[0] != Ku.shape[0]:
         raise DimensionMismatch(
             f"seen embeddings have dim {Ks.shape[0]}, unseen have dim {Ku.shape[0]}"
         )
     return (np.concatenate([Ks, Ku], axis=1),
             _class_ids(seen, "s") + _class_ids(unseen, "u"))
+
+
+def _test_side(model: DmapModel, X_test, mode: str | None, unseen, seen=None):
+    """The set-up that inductive and transductive inference share:
+    ``(X, instance_ids, K, class_ids, P)``, the test features prepared as in
+    training, the :func:`_candidates` (L2-normalised when the model
+    normalises) and the ``f_s`` predictions ``P``.  Raises ``EmptyTestSet``
+    for a batch without instances and ``DimensionMismatch`` unless ``f_s``
+    maps into the dimension of ``K``."""
+    K, class_ids = _candidates(model, mode, unseen, seen)
+    X = _input_matrix(X_test, "test feature matrix")
+    if X.shape[1] < 1:
+        raise EmptyTestSet("no test instances")
+    instance_ids = (X_test.instance_ids if isinstance(X_test, FeatureMatrix)
+                    else default_instance_ids(X.shape[1]))
+    X, _ = _prepare_features(X, model.config, model.feature_mean)
+    if model.config.normalize:
+        K = l2_normalize_columns(K)
+    preds = predict_semantic(model.f_s, X)
+    if K.shape[0] != preds.shape[0]:
+        raise DimensionMismatch(
+            f"candidate embeddings have dim {K.shape[0]} but f_s produces dim {preds.shape[0]}"
+        )
+    return X, instance_ids, K, class_ids, preds
 
 
 def infer_inductive(model: DmapModel, X_test, K_unseen,
@@ -412,16 +437,8 @@ def infer_inductive(model: DmapModel, X_test, K_unseen,
     Candidates are the unseen classes alone (``czsr``) or seen followed
     by unseen (``gzsr``, which requires ``K_seen``).
     """
-    candidates, candidate_ids = _candidates(model, mode, K_unseen, K_seen)
-    X, instance_ids = _test_arrays(model, X_test)
-    if model.config.normalize:
-        candidates = l2_normalize_columns(candidates)
-    preds = predict_semantic(model.f_s, X)
-    if candidates.shape[0] != preds.shape[0]:
-        raise DimensionMismatch(
-            f"candidate embeddings have dim {candidates.shape[0]} but the map "
-            f"produces dim {preds.shape[0]}"
-        )
+    _, instance_ids, candidates, candidate_ids, preds = _test_side(
+        model, X_test, mode, K_unseen, K_seen)
     return _score_and_predict(candidates, candidate_ids, preds, instance_ids)
 
 
@@ -438,18 +455,9 @@ def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
     ``gzsr``), so round ``t`` equals ``infer_transductive(...,
     iterations=t)``.
     """
-    X, instance_ids = _test_arrays(model, X_test)
-    Ku = as_array(K_unseen)
-    unseen_ids = _class_ids(K_unseen, "u")
-    if model.config.normalize:
-        Ku = l2_normalize_columns(Ku)
-    search = predict_semantic(model.f_s, X)
-    if Ku.shape[0] != search.shape[0]:
-        raise DimensionMismatch(
-            f"unseen embeddings have dim {Ku.shape[0]} but f_s produces dim {search.shape[0]}"
-        )
+    # The first search anchors at the unseen embeddings alone.
+    X, instance_ids, k_tilde_u, unseen_ids, search = _test_side(model, X_test, CZSR, K_unseen)
     preds_tilde = predict_semantic(model.f_tilde, X)
-    k_tilde_u = Ku
     for _ in range(iterations):
         k_tilde_u = _refine_prototypes(k_tilde_u, search, X, model.config.m)
         search = preds_tilde

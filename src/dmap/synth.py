@@ -47,6 +47,7 @@ from .core import (
     FeatureMatrix,
     LabeledDataset,
     check_field_types,
+    default_instance_ids,
 )
 from .errors import InfeasibleConfig, ValidationError
 from .model import DmapConfig
@@ -252,12 +253,12 @@ def generate(config: SynthConfig) -> SynthDataset:
         np.concatenate([K_s, K_u], axis=1), seen_ids + unseen_ids
     )
     train = LabeledDataset(
-        features=FeatureMatrix(train_X, tuple(f"tr{i:06d}" for i in range(k * npc))),
+        features=FeatureMatrix(train_X, default_instance_ids(k * npc, "tr")),
         labels=train_labels,
         split=split,
         semantic=embeddings,
     )
-    test_features = FeatureMatrix(test_X, tuple(f"te{i:06d}" for i in range(l * npc)))
+    test_features = FeatureMatrix(test_X, default_instance_ids(l * npc, "te"))
     return SynthDataset(
         train=train,
         test_features=test_features,

@@ -20,6 +20,11 @@ from dmap import io as dio
 from dmap.cli import main
 from dmap.errors import ParseError, ShapeMismatch
 from dmap.model import Prediction
+from oracles import prediction_to_dict
+
+# Pytest records warnings instead of printing them, so a NumPy warning
+# would not show in the captured stderr that the tests below check.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -665,7 +670,7 @@ class TestEvalCommand:
 
     def test_ragged_scores_exit_4(self, tmp_path, capsys):
         pred = Prediction(("x0", "x1"), ("a", "b"), np.eye(2), ("a", "b"))
-        obj = dio.prediction_to_dict(pred, "czsr")
+        obj = prediction_to_dict(pred, "czsr")
         obj["scores"][1].pop()
         (tmp_path / "pred.json").write_text(json.dumps(obj))
         (tmp_path / "truth.json").write_text(json.dumps(["a", "b"]))
@@ -687,7 +692,7 @@ class TestEvalCommand:
     ])
     def test_malformed_prediction_exits_4(self, tmp_path, capsys, edit):
         pred = Prediction(("x0", "x1"), ("a", "b"), np.eye(2), ("a", "b"))
-        obj = dio.prediction_to_dict(pred, "czsr")
+        obj = prediction_to_dict(pred, "czsr")
         edit(obj)
         (tmp_path / "pred.json").write_text(json.dumps(obj))
         (tmp_path / "truth.json").write_text(json.dumps(["a", "b"]))
@@ -806,13 +811,15 @@ class TestExitCodes:
         assert err["error"] == "ParseError"
         assert "line 3" in err["message"]
 
-    def test_usage_errors_exit_2(self):
+    def test_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+        assert one_json_error(capsys) == "UsageError"
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        assert one_json_error(capsys) == "UsageError"
 
     def test_threads_flag_is_accepted(self, tmp_path):
         cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=1)
@@ -1021,13 +1028,23 @@ def mutated_json(data, raw):
     return json.dumps(obj).encode()  # NaN and Infinity included
 
 
+#: Flag values that are not numbers: the parser refuses them (exit 2).
+NOT_NUMBERS = st.sampled_from(["", "abc", "1,5", "1e", "--", "0x10", "1.0.0"])
+#: Floats, or values that are not numbers.
+FLOAT_VALUES = st.floats().map(repr) | NOT_NUMBERS
+#: --threads values below 1 or not integers; a valid count would set the
+#: BLAS variables of this process.
+BAD_THREADS = st.integers(max_value=0).map(str) | st.sampled_from(["1.5", "2e0"]) | NOT_NUMBERS
+
 FLAG_VALUES = {
-    "preinspect": lambda data: [f"--epsilon={data.draw(st.floats(), label='epsilon')!r}"],
-    "cm": lambda data: [f"--lambda={data.draw(st.floats(), label='lambda')!r}"],
+    "preinspect": lambda data: [f"--epsilon={data.draw(FLOAT_VALUES, label='epsilon')}"],
+    "cm": lambda data: [f"--lambda={data.draw(FLOAT_VALUES, label='lambda')}"],
     "eval": lambda data: [
         f"--topk={data.draw(st.text(alphabet='0123456789,-+ x', max_size=6), label='topk')}",
         f"--mode={data.draw(st.sampled_from(['czsr', 'gzsr']), label='mode')}",
     ],
+    # before the command
+    "--threads": lambda data: [f"--threads={data.draw(BAD_THREADS, label='threads')}"],
 }
 
 
@@ -1042,11 +1059,15 @@ def test_fuzzed_files_and_flags_exit_0_2_3_or_4(small_world, tmp_path_factory, d
     elif data.draw(st.booleans(), label="mutate"):
         raw = mutated_bytes(data, raw)
     flags = FLAG_VALUES[command](data) if data.draw(st.booleans(), label="flags") else []
+    threads = FLAG_VALUES["--threads"](data) if data.draw(st.booleans(), label="threads") else []
     stderr = io.StringIO()
     directory = tmp_path_factory.mktemp("fuzz")
     write_world(small_world, directory, **{name: raw})
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(world_argv(command, directory, flags))
+        try:
+            code = main([*threads, *world_argv(command, directory, flags)])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
     assert code in (0, 2, 3, 4)
     if code:
         lines = stderr.getvalue().splitlines()

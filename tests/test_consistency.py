@@ -162,10 +162,11 @@ class TestBuildRelationshipMatrix:
         with pytest.raises(ValidationError):
             build_relationship_matrix(A, rng.normal(size=(6, 2)), -1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seen_scale, unseen_scale", [(1e200, 1.0), (1.0, 1e308)])
     def test_overflowing_system_refused(self, rng, seen_scale, unseen_scale):
-        # Finite inputs whose Gram (or right-hand side) overflows.
+        # Finite inputs whose Gram (or right-hand side) overflows: the error
+        # takes the place of NumPy's overflow warning.
         A = seen_scale * rng.normal(size=(6, 4))
         U = unseen_scale * np.ones((6, 2))
         with pytest.raises(SingularSystem, match="non-finite"):

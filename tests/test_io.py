@@ -30,7 +30,6 @@ from dmap.io import (
     load_model,
     load_prediction,
     load_split,
-    prediction_to_dict,
     run_config_fields,
     run_config_to_dict,
     save_confusion_csv,
@@ -46,6 +45,7 @@ from dmap.io import (
 )
 from dmap.model import DmapConfig, Prediction, infer_inductive, train
 from dmap.synth import defect_setup, exact_recovery_setup, generate
+from oracles import prediction_to_dict
 
 
 class TestMatrixFormat:

@@ -9,14 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, ValidationError
-from dmap.linmap import (
-    COND_LIMIT,
-    predict_semantic,
-    ridge_feature_side,
-    ridge_objective,
-    solve_ridge_map,
-    stationarity_residual,
-)
+from dmap.linmap import COND_LIMIT, predict_semantic, ridge_feature_side, solve_ridge_map
+
+
+def ridge_objective(V, X, K, Y, gamma, eta):
+    """Objective value at ``V``."""
+    fit = X.T @ V @ K - Y
+    return float(
+        np.sum(fit * fit)
+        + gamma * np.sum((V @ K) ** 2)
+        + eta * np.sum((X.T @ V) ** 2)
+        + gamma * eta * np.sum(V * V)
+    )
+
+
+def stationarity_residual(V, X, K, Y, gamma, eta):
+    """Gradient of the objective at ``V``; identically zero at the minimiser."""
+    return (
+        2.0 * X @ (X.T @ V @ K - Y) @ K.T
+        + 2.0 * gamma * V @ (K @ K.T)
+        + 2.0 * eta * (X @ X.T) @ V
+        + 2.0 * gamma * eta * V
+    )
 
 
 def kron_normal_equation_oracle(X, K, Y, gamma, eta):

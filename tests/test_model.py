@@ -527,6 +527,69 @@ class TestTransductive:
             infer_transductive(model, data.test_features, K_u, iterations=0)
 
 
+def _infer(kind, model, X, K_u, K_s=None):
+    if kind == "inductive":
+        return infer_inductive(model, X, K_u, K_s, mode=None if K_s is None else GZSR)
+    return infer_transductive(model, X, K_u, iterations=1)
+
+
+#: The error and the start of its message for each malformed plain-array input.
+MALFORMED_INPUTS = {
+    "features-1d": (ValidationError, "test feature matrix must be 2-D"),
+    "features-nan": (ValidationError, "test feature matrix contains non-finite"),
+    "features-empty": (EmptyTestSet, "no test instances"),
+    "unseen-1d": (ValidationError, "unseen embedding matrix must be 2-D"),
+    "unseen-nan": (ValidationError, "unseen embedding matrix contains non-finite"),
+}
+
+
+@pytest.mark.parametrize("kind", ["inductive", "transductive"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_plain_array_inputs_are_refused_by_name(exact_world, kind, case):
+    data, model = exact_world
+    X = data.test_features.data.copy()
+    K_u = data.embeddings.subset(data.split.unseen).data.copy()
+    if case == "features-1d":
+        X = X[:, 0]
+    elif case == "features-nan":
+        X[2, 3] = np.nan
+    elif case == "features-empty":
+        X = X[:, :0]
+    elif case == "unseen-1d":
+        K_u = K_u[:, 0]
+    else:
+        K_u[1, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error, message = MALFORMED_INPUTS[case]
+        with pytest.raises(error, match=f"^{message}"):
+            _infer(kind, model, X, K_u)
+
+
+def test_nan_in_plain_seen_embeddings_is_refused_by_name(exact_world):
+    data, model = exact_world
+    K_s = data.embeddings.subset(data.split.seen).data.copy()
+    K_s[0, 2] = np.inf
+    with pytest.raises(ValidationError, match="^seen embedding matrix contains non-finite"):
+        _infer("inductive", model, data.test_features, data.embeddings.subset(data.split.unseen),
+               K_s)
+
+
+def test_domain_type_inputs_are_not_scanned_again(exact_world, monkeypatch):
+    # FeatureMatrix and EmbeddingMatrix checked their values when built.
+    import dmap.model
+
+    data, model = exact_world
+    scanned = []
+    monkeypatch.setattr(dmap.model, "_require_finite", lambda a, what: scanned.append(what))
+    K_u = data.embeddings.subset(data.split.unseen)
+    _infer("inductive", model, data.test_features, K_u, data.embeddings.subset(data.split.seen))
+    list(transductive_rounds(model, data.test_features, K_u, GZSR, 2))
+    assert scanned == []
+    _infer("inductive", model, data.test_features.data, K_u.data)
+    assert scanned == ["unseen embedding matrix", "test feature matrix"]
+
+
 class TestDefectConsequence:
     def test_planted_twins_are_indistinguishable_to_the_first_path(self):
         # Classes built to share their projection onto the seen span get

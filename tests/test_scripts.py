@@ -1,4 +1,4 @@
-"""The example scripts run end to end on small settings."""
+"""The example scripts and the README quick start run end to end on small settings."""
 
 import csv
 import os
@@ -11,11 +11,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, tmp_path, *args):
+def run_python(argv, tmp_path):
+    """Run ``python ARGV`` in ``tmp_path`` with ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def run_script(name, tmp_path, *args):
+    return run_python([str(ROOT / "scripts" / name), *args], tmp_path)
 
 
 def test_defect_demo_flags_the_planted_pairs(tmp_path):
@@ -35,3 +40,12 @@ def test_sweep_writes_its_csv(tmp_path, name, columns):
         rows = list(csv.DictReader(handle))
     assert rows and list(rows[0]) == columns
     assert {row["seed"] for row in rows} == {"0", "1"}
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (Python)\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = run_python(["-c", block], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["1.0", "1.0", "1.0", "()"]

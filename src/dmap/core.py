@@ -13,7 +13,9 @@ used everywhere to avoid transposition ambiguity between modules, and
 :func:`_class_codes` is the one map from class ids to columns.
 Positional instance ids (``i000000`` for a plain test batch, ``tr000000``
 and ``te000000`` for training and test files and synthetic worlds) all
-come from :func:`default_instance_ids`.
+come from :func:`default_instance_ids`, and positional class ids
+(``c0000`` for an ``EmbeddingMatrix``, ``u0000``/``s0000`` for plain
+unseen/seen arrays) from :func:`default_class_ids`.
 
 All types are immutable after construction (arrays are marked
 read-only), so values can be shared freely across threads.
@@ -97,6 +99,11 @@ def default_instance_ids(n: int, prefix: str = "i") -> tuple[str, ...]:
     return tuple(f"{prefix}{j:06d}" for j in range(n))
 
 
+def default_class_ids(n: int, prefix: str = "c") -> tuple[str, ...]:
+    """Positional class identifiers ``<prefix>0000, <prefix>0001, ...``."""
+    return tuple(f"{prefix}{j:04d}" for j in range(n))
+
+
 def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Relative Frobenius gap ``||a - b|| / ||b||``, the denominator floored
     at the smallest positive normal double."""
@@ -166,8 +173,8 @@ class EmbeddingMatrix:
     class_ids: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        _init_columns(self, "class_ids", lambda c: tuple(f"c{j:04d}" for j in range(c)),
-                      "embedding matrix", "p,c", "embedding columns")
+        _init_columns(self, "class_ids", default_class_ids, "embedding matrix", "p,c",
+                      "embedding columns")
         zero = [self.class_ids[j] for j in np.flatnonzero(~self.data.any(axis=0))]
         if zero:
             logger.warning("embedding columns are identically zero for classes: %s", zero)
@@ -293,8 +300,7 @@ def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> Embe
 
 def _class_ids(K, prefix: str) -> tuple:
     """The class ids ``K`` carries, or positional ids ``<prefix>0000, ...``."""
-    return tuple(getattr(K, "class_ids", None) or
-                 (f"{prefix}{j:04d}" for j in range(as_array(K).shape[1])))
+    return tuple(getattr(K, "class_ids", None) or default_class_ids(as_array(K).shape[1], prefix))
 
 
 def build_label_matrix(labels: Sequence, seen: Sequence) -> np.ndarray:

@@ -25,6 +25,14 @@ is a combination of columns of ``K`` by construction — which keeps
 ``V^T x`` inside span(K) to machine precision, exactly as the algebra
 says it must be.
 
+Every regularised Gram matrix passes the ``COND_LIMIT`` condition gate
+before it is factorised.  Its eigenvalues are computed only when a bound
+read from the Gram's trace cannot certify that the gate passes; with a
+regulariser far above ``trace / COND_LIMIT``, as at unit ``gamma`` and
+``eta``, the solve goes straight to the Cholesky factor.  Refusals, their
+messages and the factors are the same either way (see
+:func:`_spd_cholesky`).
+
 The feature side ``T = (X X^T + gamma I)^-1 X Y`` depends only on ``X``,
 ``Y`` and ``gamma``, so fits that differ only in ``K`` (the rounds of the
 dual-path training) compute it once with :func:`ridge_feature_side`.
@@ -42,25 +50,74 @@ from .errors import DimensionMismatch, SingularSystem, ValidationError
 COND_LIMIT = 1e12
 
 
-def _spd_cholesky(gram: np.ndarray, reg: float, what: str):
-    """Factor ``gram + reg*I`` after a finiteness and a conditioning check."""
+def _spd_cholesky(B: np.ndarray, reg: float, what: str):
+    """Factor ``A = B B^T + reg*I`` after a finiteness and a conditioning check.
+
+    ``B`` is ``r x m``, contracted over ``m``, and the Gram product is
+    ``B @ B.T``: exactly ``X @ X.T`` for ``B = X`` and ``X.T @ X`` for
+    ``B = X.T``.
+
+    The gate refuses ``A`` when ``max|lambda| / min|lambda|`` of its
+    computed eigenvalues exceeds ``COND_LIMIT``.  The eigenvalues are
+    computed only when a one-pass bound cannot certify the answer.  Let
+    ``t`` be the trace of the computed Gram ``G = fl(B B^T)`` and ``eps``
+    the float64 machine epsilon, ``u = eps/2``.  The exact ``B B^T + reg*I``
+    has every eigenvalue in ``[reg, ||B||_F^2 + reg]``, and ``||B||_F^2``
+    is ``t`` up to a relative ``(m + r) u`` (the diagonal's inner products
+    and the trace's sum).  Three roundings move the eigenvalues that
+    ``eigvalsh`` would return from there (Weyl's theorem bounds each move
+    by the 2-norm of its perturbation):
+
+    * the product: ``||G - B B^T||_2 <= gamma_m ||B||_F^2`` with
+      ``gamma_m = m u / (1 - m u)`` (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., section 3.5);
+    * adding ``reg`` to the diagonal: at most ``u (t + reg)``;
+    * ``eigvalsh`` itself, which is backward stable: it returns the exact
+      eigenvalues of ``A + F`` with ``||F||_2 <= p(r) u ||A||_2`` and
+      ``||A||_2 <= t + reg`` to first order.  LAPACK states ``p(r)`` only
+      as a modestly growing function of ``r``; the bound assumes
+      ``p(r) <= 6r``.
+
+    Their sum, second-order terms included, is below
+    ``s = c (m + r) eps (t + reg)`` with ``c = 4``.  So when ``reg - s > 0``
+    every computed eigenvalue is positive and ``(t + reg + s) / (reg - s)``
+    bounds the computed ratio; at or below ``COND_LIMIT / 2`` (the factor
+    2 absorbs the rounding of the bound and of the gate's own division)
+    the gate cannot refuse, and ``A`` goes straight to ``cho_factor``.
+
+    These rounding errors are relative only while nothing underflows: a
+    product in the subnormal range errs by up to ``2^-1075`` absolutely, so
+    ``fl(B B^T)`` can be off by ``r m 2^-1075`` in norm, which a subnormal
+    ``reg`` would not cover.  The bound is therefore used only when
+    ``reg * eps`` is a normal number (``reg`` above about ``1e-292``),
+    where that term lies far below ``s``.  Anything else, ``reg = 0`` and
+    regularisers near ``t / COND_LIMIT`` included, computes the
+    eigenvalues and compares their ratio with ``COND_LIMIT``.
+    """
+    gram = B @ B.T
     A = gram + reg * np.eye(gram.shape[0])
     if not np.all(np.isfinite(A)):
         raise SingularSystem(f"{what} has non-finite entries; rescale the inputs")
-    # Symmetric eigenvalues give the exact 2-norm condition number at
-    # these sizes; an ill-conditioned Gram matrix means the closed form
-    # would amplify noise by ~cond, so refuse rather than return junk.
-    try:
-        eigs = np.abs(scipy.linalg.eigvalsh(A))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularSystem(f"{what}: eigenvalue estimation failed: {exc}") from exc
-    lo, hi = eigs.min(), eigs.max()
-    cond = np.inf if lo == 0.0 else hi / lo
-    if cond > COND_LIMIT:
-        raise SingularSystem(
-            f"{what} has condition ~{cond:.3g} (limit {COND_LIMIT:.3g}); "
-            "increase the regulariser"
-        )
+    eps = np.finfo(np.float64).eps
+    t = np.trace(gram)
+    s = 4 * sum(B.shape) * eps * (t + reg)
+    certified = (reg * eps > np.finfo(np.float64).tiny and reg - s > 0
+                 and (t + reg + s) / (reg - s) <= COND_LIMIT / 2)
+    if not certified:
+        # Symmetric eigenvalues give the exact 2-norm condition number at
+        # these sizes; an ill-conditioned Gram matrix means the closed form
+        # would amplify noise by ~cond, so refuse rather than return junk.
+        try:
+            eigs = np.abs(scipy.linalg.eigvalsh(A))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise SingularSystem(f"{what}: eigenvalue estimation failed: {exc}") from exc
+        lo, hi = eigs.min(), eigs.max()
+        cond = np.inf if lo == 0.0 else hi / lo
+        if cond > COND_LIMIT:
+            raise SingularSystem(
+                f"{what} has condition ~{cond:.3g} (limit {COND_LIMIT:.3g}); "
+                "increase the regulariser"
+            )
     try:
         return scipy.linalg.cho_factor(A, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -93,10 +150,10 @@ def ridge_feature_side(X, Y, gamma: float) -> np.ndarray:
         )
     d, n = X.shape
     if d <= n:
-        cho_x = _spd_cholesky(X @ X.T, gamma, "feature Gram X X^T")
+        cho_x = _spd_cholesky(X, gamma, "feature Gram X X^T")
         T = scipy.linalg.cho_solve(cho_x, X @ Y)
     else:
-        cho_x = _spd_cholesky(X.T @ X, gamma, "feature Gram X^T X")
+        cho_x = _spd_cholesky(X.T, gamma, "feature Gram X^T X")
         T = X @ scipy.linalg.cho_solve(cho_x, Y)
     T.setflags(write=False)
     return T
@@ -156,10 +213,10 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float, *,
     # rows are combinations of K's columns by construction and the
     # feature-side solve's rounding cannot escape span(K).
     if p <= k:
-        cho_k = _spd_cholesky(K @ K.T, eta, "embedding Gram K K^T")
+        cho_k = _spd_cholesky(K, eta, "embedding Gram K K^T")
         V = scipy.linalg.cho_solve(cho_k, (T @ K.T).T).T
     else:
-        cho_k = _spd_cholesky(K.T @ K, eta, "embedding Gram K^T K")
+        cho_k = _spd_cholesky(K.T, eta, "embedding Gram K^T K")
         V = T @ scipy.linalg.cho_solve(cho_k, K.T)
     return _freeze(V)
 

@@ -455,6 +455,7 @@ def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
     ``gzsr``), so round ``t`` equals ``infer_transductive(...,
     iterations=t)``.
     """
+    mode = _check_mode(model.config.mode if mode is None else mode)
     # The first search anchors at the unseen embeddings alone.
     X, instance_ids, k_tilde_u, unseen_ids, search = _test_side(model, X_test, CZSR, K_unseen)
     preds_tilde = predict_semantic(model.f_tilde, X)

@@ -10,6 +10,7 @@ from dmap.core import (
     EmbeddingMatrix,
     FeatureMatrix,
     LabeledDataset,
+    _class_ids,
     as_array,
     build_label_matrix,
     center_columns,
@@ -77,6 +78,13 @@ class TestEmbeddingMatrix:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
             EmbeddingMatrix(np.eye(2), ("a", "a"))
+
+    def test_positional_class_ids(self):
+        em = EmbeddingMatrix(np.ones((2, 3)))
+        assert em.class_ids == ("c0000", "c0001", "c0002")
+        assert _class_ids(em, "u") == em.class_ids
+        assert _class_ids(np.ones((2, 2)), "u") == ("u0000", "u0001")
+        assert _class_ids(np.ones((2, 1)), "s") == ("s0000",)
 
     def test_zero_column_warns(self, caplog):
         with caplog.at_level("WARNING"):

@@ -5,11 +5,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, ValidationError
-from dmap.linmap import COND_LIMIT, predict_semantic, ridge_feature_side, solve_ridge_map
+from dmap.linmap import (
+    COND_LIMIT,
+    _spd_cholesky,
+    predict_semantic,
+    ridge_feature_side,
+    solve_ridge_map,
+)
+from dmap.model import DmapConfig, train
+from dmap.synth import SynthConfig, exact_recovery_setup, generate
 
 
 def ridge_objective(V, X, K, Y, gamma, eta):
@@ -282,3 +291,105 @@ def test_reused_feature_side_gives_the_same_bytes(
     assert T.shape == (d, k) and not T.flags.writeable
     reused = solve_ridge_map(X, K, Y, gamma, eta, feature_side=T)
     assert reused.tobytes() == solve_ridge_map(X, K, Y, gamma, eta).tobytes()
+
+
+def eigvalsh_gate(gram, reg, what):
+    """The condition gate that computes every Gram's eigenvalues: the
+    reference the trace-bound shortcut of ``_spd_cholesky`` must match."""
+    A = gram + reg * np.eye(gram.shape[0])
+    if not np.all(np.isfinite(A)):
+        raise SingularSystem(f"{what} has non-finite entries; rescale the inputs")
+    eigs = np.abs(scipy.linalg.eigvalsh(A))
+    lo, hi = eigs.min(), eigs.max()
+    cond = np.inf if lo == 0.0 else hi / lo
+    if cond > COND_LIMIT:
+        raise SingularSystem(
+            f"{what} has condition ~{cond:.3g} (limit {COND_LIMIT:.3g}); "
+            "increase the regulariser"
+        )
+    try:
+        return scipy.linalg.cho_factor(A, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(f"{what}: Cholesky factorisation failed: {exc}") from exc
+
+
+def gate_outcome(gate, *args):
+    """``("factor", bytes)`` or ``(exception type, message)``."""
+    try:
+        factor, lower = gate(*args)
+    except SingularSystem as exc:
+        return type(exc), str(exc)
+    assert lower
+    return "factor", factor.tobytes()
+
+
+#: ``reg / trace``: zero, ``1e-14`` and up, or just above ``1 / COND_LIMIT``,
+#: where the trace bound ``(t + reg) / reg`` sits just under the limit.
+REG_OVER_TRACE = (st.just(0.0) | st.floats(-14, 1).map(lambda e: 10.0 ** e)
+                  | st.floats(0, 1e-3).map(lambda x: (1 + x) / COND_LIMIT))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=2000)
+@given(
+    short=st.integers(1, 8),
+    extra=st.integers(0, 32),
+    wide=st.booleans(),
+    decades=st.floats(0, 9),
+    log_scale=st.floats(-175, 160),
+    reg_over_trace=REG_OVER_TRACE,
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# A subnormal regulariser: the Gram's underflow errors are absolute and
+# eigvalsh refuses, although the relative bound alone would certify.
+@example(short=4, extra=11, wide=False, decades=0.0, log_scale=-157.53774516155872,
+         reg_over_trace=10.0 ** -11.137555966175903, seed=1919047014)
+@example(short=4, extra=31, wide=True, decades=9.0, log_scale=-157.37295291323932,
+         reg_over_trace=10.0 ** -10.637021338145605, seed=239968261)
+# Nearly rank one with (t + reg) / reg just under COND_LIMIT: eigvalsh's
+# rounding of the smallest eigenvalue refuses, so certifying needs the slack.
+@example(short=3, extra=31, wide=False, decades=9.0, log_scale=4.387518284798846,
+         reg_over_trace=(1 + 2.2617728887002753e-05) / COND_LIMIT, seed=3629346541)
+@example(short=1, extra=15, wide=False, decades=0.0, log_scale=3.6986739370039654,
+         reg_over_trace=(1 + 0.00019734886477676373) / COND_LIMIT, seed=2415876439)
+def test_trace_bound_gate_matches_the_eigvalsh_gate(short, extra, wide, decades, log_scale,
+                                                    reg_over_trace, seed):
+    """Same acceptance, same refusal message, same factor bytes as the gate
+    that always computes eigenvalues, for ``B`` much wider (``m >> r``) or
+    much taller than it is long, singular values spread over ``decades``,
+    entries from the subnormal range to a Gram that overflows, and ``reg``
+    from zero up."""
+    rng = np.random.default_rng(seed)
+    r, m = (short, 4 * short + extra) if wide else (4 * short + extra, short)
+    q = min(r, m)
+    B = (rng.normal(size=(r, q)) * np.logspace(0, -decades, q)) @ rng.normal(size=(q, m))
+    B *= 10.0 ** log_scale
+    gram = B @ B.T
+    reg = float(np.trace(gram) * reg_over_trace)
+    expected = gate_outcome(eigvalsh_gate, gram, reg, "Gram")
+    assert gate_outcome(_spd_cholesky, B, reg, "Gram") == expected
+
+
+def count_eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = scipy.linalg.eigvalsh
+    monkeypatch.setattr(scipy.linalg, "eigvalsh",
+                        lambda *args, **kwargs: calls.append(args) or eigvalsh(*args, **kwargs))
+    return calls
+
+
+def test_unit_regularisers_skip_the_eigenvalues(monkeypatch):
+    # The awa-api benchmark world: X X^T is 768 x 768 over 1,600 instances.
+    world = generate(SynthConfig(d=768, p=85, k=40, l=10, n_per_class=40,
+                                 noise_sigma=0.05, irc_distortion=0.2, seed=1))
+    calls = count_eigvalsh_calls(monkeypatch)
+    train(world.train, DmapConfig(m=20, gamma=1.0, eta=1.0, train_max_iter=2))
+    assert calls == []
+
+
+def test_tiny_regularisers_compute_the_eigenvalues(monkeypatch):
+    synth_cfg, run_cfg = exact_recovery_setup(seed=0)
+    world = generate(synth_cfg)
+    calls = count_eigvalsh_calls(monkeypatch)
+    train(world.train, run_cfg)
+    assert len(calls) >= 1

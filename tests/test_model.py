@@ -526,6 +526,22 @@ class TestTransductive:
         with pytest.raises(ValidationError):
             infer_transductive(model, data.test_features, K_u, iterations=0)
 
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
+    def test_invalid_mode_refused_before_any_refinement(self, exact_world, monkeypatch,
+                                                        iterations):
+        import dmap.model
+
+        data, model = exact_world
+        refined = []
+        monkeypatch.setattr(dmap.model, "_refine_prototypes",
+                            lambda *args: refined.append(args) or args[0])
+        rounds = transductive_rounds(model, data.test_features,
+                                     data.embeddings.subset(data.split.unseen), "all",
+                                     iterations)
+        with pytest.raises(ValidationError, match="mode must be"):
+            list(rounds)
+        assert refined == []
+
 
 def _infer(kind, model, X, K_u, K_s=None):
     if kind == "inductive":

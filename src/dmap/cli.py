@@ -10,8 +10,9 @@ Configuration precedence is flags > config file > built-in defaults; at
 predict time the model's stored config takes the place of the defaults,
 and only the inference-time fields may differ from it.
 ``--threads`` caps the linear-algebra thread pools; it must act before
-``numpy`` is first imported, which is why every command imports the
-compute modules lazily.
+``numpy`` is first imported, so this module imports the compute modules
+lazily and :func:`main` reads ``--threads`` before it builds the parser,
+whose config flags come from the ``DmapConfig`` fields.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def _thread_count(text: str) -> int:
     return count
 
 
-def _apply_threads(threads: int | None) -> None:
-    if threads is None:
-        return  # machine default
+def _apply_threads(threads) -> None:
+    if not isinstance(threads, int):
+        return  # machine default, or "--threads=--", which the full parse refuses
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(threads)
 
@@ -86,20 +87,15 @@ def _ensure_parent(path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
-def _add_config_flags(sub) -> None:
+def _add_config_flags(sub, config_fields) -> None:
+    """``--config`` and one flag per ``DmapConfig`` field, as its metadata says."""
     sub.add_argument("--config", help="run-config JSON file")
-    sub.add_argument("--lambda", dest="lam", type=float, help="relationship ridge regulariser")
-    sub.add_argument("--gamma", type=float, help="feature-side ridge regulariser")
-    sub.add_argument("--eta", type=float, help="embedding-side ridge regulariser")
-    sub.add_argument("--m", type=int, help="neighbour count for prototypes")
-    sub.add_argument("--train-max-iter", type=int, help="training refinement iterations")
-    sub.add_argument("--test-max-iter", type=int, help="transductive refinement iterations")
-    sub.add_argument("--convergence-tol", type=float, help="prototype convergence threshold")
-    sub.add_argument("--mode", choices=("czsr", "gzsr"), help="candidate set at inference")
-    sub.add_argument("--normalize", action="store_const", const=True, default=None,
-                     help="l2-normalise feature and embedding columns")
-    sub.add_argument("--center", action="store_const", const=True, default=None,
-                     help="subtract the training-feature mean")
+    for field in config_fields:
+        kind = ({"action": "store_const", "const": True} if field.type == "bool" else
+                {"type": {"int": int, "float": float, "str": str}[field.type],
+                 "choices": field.metadata.get("choices")})
+        sub.add_argument("--" + field.metadata.get("key", field.name).replace("_", "-"),
+                         dest=field.name, help=field.metadata["help"], **kind)
 
 
 # --- command handlers -------------------------------------------------------
@@ -288,6 +284,11 @@ def _cmd_pipeline(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from dataclasses import fields
+
+    from .model import DmapConfig
+
+    config_fields = {field.name: field for field in fields(DmapConfig)}
     parser = _Parser(
         prog="dmap",
         description="Zero-shot recognition with dual visual-semantic mapping paths.",
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--labels", required=True)
     sub.add_argument("--split", required=True)
     sub.add_argument("--embeddings", required=True)
-    _add_config_flags(sub)
+    _add_config_flags(sub, config_fields.values())
     sub.add_argument("--model-dir", required=True)
     sub.set_defaults(func=_cmd_train)
 
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--test-features", required=True)
     sub.add_argument("--embeddings", required=True)
     sub.add_argument("--split", required=True)
-    _add_config_flags(sub)
+    _add_config_flags(sub, config_fields.values())
     sub.add_argument("--inductive", action="store_true",
                      help="score against the given embeddings instead of transductive prototypes")
     sub.add_argument("--out", required=True, help="prediction JSON")
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("eval", help="score a prediction against ground truth")
     sub.add_argument("--pred", required=True)
     sub.add_argument("--truth", required=True, help="ground-truth labels JSON array")
-    sub.add_argument("--mode", choices=("czsr", "gzsr"), default=None)
+    sub.add_argument("--mode", choices=config_fields["mode"].metadata["choices"], default=None)
     sub.add_argument("--topk", default="1", help="comma-separated top-k cutoffs")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_eval)
@@ -353,15 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("pipeline", help="train, predict and evaluate end to end")
     sub.add_argument("--data-dir", required=True)
     sub.add_argument("--out-dir", required=True)
-    _add_config_flags(sub)
+    _add_config_flags(sub, config_fields.values())
     sub.set_defaults(func=_cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
+    # Building the parser imports NumPy, so --threads, which acts only
+    # before the command, is read on its own first.
+    early = _Parser(add_help=False)
+    early.add_argument("--threads", type=_thread_count)
+    early.add_argument("command", nargs=argparse.REMAINDER)
+    _apply_threads(early.parse_known_args(argv)[0].threads)
     args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     from .errors import DmapError, FileFormatError, NumericalError
 
     try:

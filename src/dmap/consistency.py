@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import _class_ids, _freeze, _relative_gap, as_array, class_mean_prototypes
+from .core import (
+    _class_ids,
+    _finite_result,
+    _freeze,
+    _relative_gap,
+    as_array,
+    class_mean_prototypes,
+)
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -85,7 +92,8 @@ def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) ->
 
 
 def _relationship_images(seen_prototypes, R_x, R_k) -> tuple[np.ndarray, np.ndarray]:
-    """``(X~_s R_x, X~_s R_k)`` after checking that the shapes agree."""
+    """``(X~_s R_x, X~_s R_k)`` after checking that the shapes agree; the
+    caller computes under ``np.errstate`` and checks what it derives."""
     P = as_array(seen_prototypes)
     Rx, Rk = as_array(R_x), as_array(R_k)
     if Rx.shape != Rk.shape:
@@ -109,21 +117,24 @@ def consistency_measure(seen_prototypes, R_x, R_k) -> float:
     Degenerate norms (below ``1e-12``) are handled by convention: both
     degenerate gives a term of 1 (identical degenerate images), exactly
     one degenerate gives 0 (maximal inconsistency); both cases are logged.
+    Raises ``NumericalError`` when a term is not finite, as when the images
+    or their norms overflow.
     """
-    img_x, img_k = _relationship_images(seen_prototypes, R_x, R_k)
-    terms = np.empty(img_x.shape[1])
-    for i in range(img_x.shape[1]):
-        na = np.linalg.norm(img_x[:, i])
-        nb = np.linalg.norm(img_k[:, i])
-        if na < DEGENERATE_NORM and nb < DEGENERATE_NORM:
-            logger.warning("consistency term %d: both images degenerate, counting as 1", i)
-            terms[i] = 1.0
-        elif na < DEGENERATE_NORM or nb < DEGENERATE_NORM:
-            logger.warning("consistency term %d: one image degenerate, counting as 0", i)
-            terms[i] = 0.0
-        else:
-            terms[i] = np.exp(-np.linalg.norm(img_x[:, i] - img_k[:, i]) / (na * nb))
-    return float(terms.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        img_x, img_k = _relationship_images(seen_prototypes, R_x, R_k)
+        terms = np.empty(img_x.shape[1])
+        for i in range(img_x.shape[1]):
+            na = np.linalg.norm(img_x[:, i])
+            nb = np.linalg.norm(img_k[:, i])
+            if na < DEGENERATE_NORM and nb < DEGENERATE_NORM:
+                logger.warning("consistency term %d: both images degenerate, counting as 1", i)
+                terms[i] = 1.0
+            elif na < DEGENERATE_NORM or nb < DEGENERATE_NORM:
+                logger.warning("consistency term %d: one image degenerate, counting as 0", i)
+                terms[i] = 0.0
+            else:
+                terms[i] = np.exp(-np.linalg.norm(img_x[:, i] - img_k[:, i]) / (na * nb))
+    return float(_finite_result(terms, "consistency terms").mean())
 
 
 def irc_gap(seen_prototypes, R_x, R_k) -> float:
@@ -131,8 +142,11 @@ def irc_gap(seen_prototypes, R_x, R_k) -> float:
 
     Zero exactly when the inter-class relationships agree; the
     denominator is floored at the smallest positive normal double.
+    Raises ``NumericalError`` when the gap is not finite.
     """
-    return _relative_gap(*_relationship_images(seen_prototypes, R_x, R_k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _relative_gap(*_relationship_images(seen_prototypes, R_x, R_k))
+    return _finite_result(gap, "irc_gap values")
 
 
 def consistency_report(features, labels, split, embeddings, lam: float) -> tuple[float, float]:
@@ -185,6 +199,8 @@ def preinspect(K_s, K_u, epsilon: float | None = None) -> DefectReport:
     distance exactly 0.  Pass ``epsilon`` explicitly for such inputs.
     Classes are named by the
     ``class_ids`` of ``K_u``, or ``u0000, u0001, ...`` for a plain array.
+    Raises ``NumericalError`` when a distance is not finite, as when the
+    embeddings are so large that their squares overflow.
     """
     U = project_onto_seen_span(K_s, K_u)
     if epsilon is not None and not (np.isfinite(epsilon) and epsilon >= 0):
@@ -194,8 +210,10 @@ def preinspect(K_s, K_u, epsilon: float | None = None) -> DefectReport:
     # One row per class: every entry is the same columnwise sum in the same
     # order, so the table is exactly symmetric with an exactly zero diagonal.
     dist = np.empty((l, l))
-    for i in range(l):
-        dist[i] = np.linalg.norm(U - U[:, [i]], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(l):
+            dist[i] = np.linalg.norm(U - U[:, [i]], axis=0)
+    _finite_result(dist, "projection distances")
     rows, cols = np.triu_indices(l, k=1)
     off_diag = dist[rows, cols]
     if epsilon is None:

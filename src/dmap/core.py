@@ -323,10 +323,15 @@ def build_label_matrix(labels: Sequence, seen: Sequence) -> np.ndarray:
 
 
 def l2_normalize_columns(a: np.ndarray) -> np.ndarray:
-    """Scale every column to unit Euclidean norm; zero columns pass through."""
+    """Scale every column to unit Euclidean norm; zero columns pass through.
+    Raises ``NumericalError`` when a nonzero column's norm overflows or
+    underflows."""
     arr = np.array(as_array(a), copy=True)
-    norms = np.linalg.norm(arr, axis=0)
-    nz = norms > 0
+    nz = arr.any(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _finite_result(np.linalg.norm(arr, axis=0), "column norms")
+    if not norms[nz].all():
+        raise NumericalError("column norms underflow to 0; rescale the inputs")
     arr[:, nz] /= norms[nz]
     return arr
 

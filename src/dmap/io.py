@@ -212,7 +212,12 @@ def load_matrix(path) -> np.ndarray:
 
 
 def _dump_json(obj, path) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    """Write ``obj`` as JSON; ``ValidationError`` if it holds NaN or Infinity,
+    which are not JSON."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValidationError(f"JSON files hold finite numbers only: {path}") from None
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -265,8 +270,8 @@ def load_labels(path) -> tuple:
 
 # --- run configuration ----------------------------------------------------
 
-#: JSON key -> DmapConfig attribute: the field names, with ``lambda`` for ``lam``.
-_CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(DmapConfig)}
+#: JSON key -> DmapConfig attribute: each field's ``key`` metadata, else its name.
+_CONFIG_KEYS = {f.metadata.get("key", f.name): f.name for f in fields(DmapConfig)}
 
 
 def run_config_to_dict(config: DmapConfig) -> dict:

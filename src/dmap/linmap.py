@@ -94,12 +94,14 @@ def _spd_cholesky(B: np.ndarray, reg: float, what: str):
     regularisers near ``t / COND_LIMIT`` included, computes the
     eigenvalues and compares their ratio with ``COND_LIMIT``.
     """
-    gram = B @ B.T
-    A = gram + reg * np.eye(gram.shape[0])
+    # A non-finite A is refused below; an overflowing trace certifies nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = B @ B.T
+        A = gram + reg * np.eye(gram.shape[0])
+        t = np.trace(gram)
     if not np.all(np.isfinite(A)):
         raise SingularSystem(f"{what} has non-finite entries; rescale the inputs")
     eps = np.finfo(np.float64).eps
-    t = np.trace(gram)
     s = 4 * sum(B.shape) * eps * (t + reg)
     certified = (reg * eps > np.finfo(np.float64).tiny and reg - s > 0
                  and (t + reg + s) / (reg - s) <= COND_LIMIT / 2)

@@ -28,7 +28,7 @@ search among ``f~_s`` predictions.  Scoring always uses
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,47 +68,36 @@ def _check_mode(mode):
     return mode
 
 
+def _setting(default, help_text: str, **metadata):
+    """A ``DmapConfig`` field with the ``help`` of its flag and ``metadata``."""
+    return field(default=default, metadata={"help": help_text, **metadata})
+
+
 @dataclass(frozen=True)
 class DmapConfig:
     """Hyper-parameters for training and inference.
 
-    Attributes
-    ----------
-    m : int
-        Neighbour count for prototype construction.
-    lam : float
-        Ridge regulariser for relationship extraction (consistency
-        diagnostics carried in reports).
-    gamma, eta : float
-        Ridge regularisers of both mapping paths.
-    train_max_iter : int
-        Refinement iterations after the initial prototype construction;
-        0 keeps the initial prototypes.
-    test_max_iter : int
-        Default transductive refinement iterations.
-    convergence_tol : float
-        Relative Frobenius change of the prototypes below which
-        refinement stops early.
-    mode : str
-        ``"czsr"`` scores unseen candidates only; ``"gzsr"`` scores seen
-        and unseen candidates together.
-    normalize : bool
-        L2-normalise feature and embedding columns before use.
-    center : bool
-        Subtract the training-feature mean before use (the same mean is
-        re-applied at test time).
+    Each field is the one description of its setting.  Its metadata holds
+    its flag's ``help``; ``key``, the flag and run-config key when they are
+    not the field's name; ``choices``; and ``trained``, set on the fields a
+    model is fit with (:data:`TRAINED_FIELDS`).
     """
 
-    m: int = 100
-    lam: float = 1e-4
-    gamma: float = DEFAULT_GAMMA
-    eta: float = DEFAULT_ETA
-    train_max_iter: int = 2
-    test_max_iter: int = 2
-    convergence_tol: float = 1e-4
-    mode: str = CZSR
-    normalize: bool = False
-    center: bool = False
+    m: int = _setting(100, "neighbours averaged into each prototype")
+    lam: float = _setting(1e-4, "relationship-extraction ridge regulariser (consistency "
+                          "diagnostics)", key="lambda")
+    gamma: float = _setting(DEFAULT_GAMMA, "feature-side ridge regulariser", trained=True)
+    eta: float = _setting(DEFAULT_ETA, "embedding-side ridge regulariser", trained=True)
+    train_max_iter: int = _setting(2, "training refinement rounds after the initial "
+                                   "prototypes; 0 keeps them", trained=True)
+    test_max_iter: int = _setting(2, "transductive refinement rounds")
+    convergence_tol: float = _setting(1e-4, "relative Frobenius change of the prototypes "
+                                      "below which refinement stops", trained=True)
+    mode: str = _setting(CZSR, "candidate set: unseen only (czsr) or seen and unseen (gzsr)",
+                         choices=(CZSR, GZSR))
+    normalize: bool = _setting(False, "l2-normalise feature and embedding columns", trained=True)
+    center: bool = _setting(False, "subtract the training-feature mean (stored on the model)",
+                            trained=True)
 
     def __post_init__(self):
         check_field_types(self)
@@ -124,9 +113,8 @@ class DmapConfig:
 
 
 #: The ``DmapConfig`` fields a trained model's maps and prototypes were fit
-#: with; the others (``m``, ``lam``, ``test_max_iter``, ``mode``) only act
-#: at inference time.
-TRAINED_FIELDS = ("gamma", "eta", "train_max_iter", "convergence_tol", "normalize", "center")
+#: with; the others only act at inference time.
+TRAINED_FIELDS = tuple(f.name for f in fields(DmapConfig) if f.metadata.get("trained"))
 
 
 @dataclass(frozen=True)
@@ -138,8 +126,9 @@ class DmapModel:
     ``V`` of maps ``f(x) = V^T x`` fit with ``config.gamma`` and
     ``config.eta``; ``k_tilde_s`` is the ``EmbeddingMatrix`` of the
     refined seen-class prototypes in feature dimension (``d x k``).
-    ``feature_mean`` is stored only when ``config.center`` is set, so the
-    identical shift can be applied at test time.
+    ``feature_mean``, the ``d``-vector of training-feature means, is
+    present exactly when ``config.center`` is set, so the identical shift
+    is applied at test time; ``ValidationError`` otherwise.
     """
 
     f_s: np.ndarray
@@ -155,6 +144,12 @@ class DmapModel:
                 f"second path maps into dim {self.f_tilde.shape[1]} but refined prototypes "
                 f"have dim {self.k_tilde_s.data.shape[0]}"
             )
+        if (self.feature_mean is not None) is not self.config.center:
+            raise ValidationError(f"a model with center={self.config.center} "
+                                  f"{'needs' if self.config.center else 'takes no'} feature_mean")
+        if self.config.center and np.shape(self.feature_mean) != self.f_s.shape[:1]:
+            raise ValidationError(f"feature_mean of shape {np.shape(self.feature_mean)} for "
+                                  f"f_s with {self.f_s.shape[0]} rows")
 
 
 @dataclass(frozen=True)

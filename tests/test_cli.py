@@ -2,6 +2,7 @@
 ``main(argv)``: every command, the documented exit codes, and output
 determinism."""
 
+import argparse
 import contextlib
 import gzip
 import io
@@ -9,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmap import io as dio
-from dmap.cli import main
+from dmap.cli import build_parser, main
+from dmap.core import l2_normalize_columns
 from dmap.errors import ParseError, ShapeMismatch
-from dmap.model import Prediction
+from dmap.model import DmapConfig, Prediction
 from oracles import prediction_to_dict
 
 # Pytest records warnings instead of printing them, so a NumPy warning
@@ -504,6 +507,85 @@ def test_overflowing_predict_exits_3(exact_data_dir, tmp_path, feature_scale, un
     assert not out.exists() and not (tmp_path / "pred_ktilde_u.dmx").exists()
 
 
+def copy_data_dir(source, target, edit=lambda name, matrix: matrix):
+    """Copy a dataset directory, each ``.dmx`` matrix through ``edit``."""
+    target.mkdir()
+    for path in source.iterdir():
+        if path.suffix == ".dmx":
+            dio.save_matrix(edit(path.name, dio.load_matrix(path)), target / path.name)
+        else:
+            (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
+def scaled(name, factor):
+    """A ``copy_data_dir`` edit that multiplies the matrix file NAME by FACTOR."""
+    return lambda file, matrix: matrix * factor if file == name else matrix
+
+
+def assert_one_error_line(result, error, message):
+    assert result.returncode == 3, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == error and err["message"].startswith(message), err
+
+
+@pytest.mark.parametrize("name, flags, error, message", [
+    ("train_features.dmx", [], "SingularSystem", "feature Gram"),
+    ("embeddings.dmx", [], "SingularSystem", "embedding Gram"),
+    ("test_features.dmx", ["--normalize"], "NumericalError", "consistency terms"),
+], ids=["feature-gram", "embedding-gram", "consistency"])
+def test_overflowing_pipeline_exits_3(exact_data_dir, tmp_path, name, flags, error, message):
+    # Inputs x1e200: a Gram that overflows used to print NumPy's warning
+    # before its error line; overflowing consistency images exited 0 with
+    # cm = nan and irc_gap = inf in summary.csv.
+    data = copy_data_dir(exact_data_dir, tmp_path / "data", scaled(name, 1e200))
+    result = run_dmap(["pipeline", "--data-dir", str(data), "--out-dir", str(tmp_path / "out"),
+                       "--gamma", "1", "--eta", "1", "--m", "5", *flags])
+    assert_one_error_line(result, error, message)
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_overflowing_normalisation_exits_3(exact_data_dir, tmp_path):
+    # The test features' norms overflow; normalising used to zero them and
+    # predict at chance.
+    model_dir = train_model(exact_data_dir, tmp_path / "model", "--gamma", "1", "--eta", "1",
+                            "--normalize")
+    data = copy_data_dir(exact_data_dir, tmp_path / "data", scaled("test_features.dmx", 1e200))
+    out = tmp_path / "pred.json"
+    assert_one_error_line(run_dmap(predict_argv(model_dir, data, out)), "NumericalError",
+                          "column norms are not finite")
+    assert not out.exists()
+
+
+def test_overflowing_preinspect_exits_3(exact_data_dir, tmp_path):
+    # The distances overflow; the default epsilon was Infinity, written as
+    # "epsilon": Infinity, which is not JSON.
+    data = copy_data_dir(exact_data_dir, tmp_path / "data", scaled("embeddings.dmx", 1e200))
+    out = tmp_path / "defects.json"
+    result = run_dmap(["preinspect", "--kseen", str(data / "embeddings.dmx"),
+                       "--kunseen", str(data / "embeddings.dmx"), "--out", str(out)])
+    assert_one_error_line(result, "NumericalError", "projection distances")
+    assert not out.exists()
+
+
+def test_pipeline_normalize_equals_normalised_files(exact_data_dir, tmp_path, capsys):
+    unit = copy_data_dir(exact_data_dir, tmp_path / "unit",
+                         lambda name, matrix: l2_normalize_columns(matrix))
+    flags = ["--gamma", "1", "--eta", "1", "--m", "5"]
+    assert main(["pipeline", "--data-dir", str(exact_data_dir), "--out-dir",
+                 str(tmp_path / "raw"), "--normalize", *flags]) == 0
+    assert main(["pipeline", "--data-dir", str(unit), "--out-dir", str(tmp_path / "unit_out"),
+                 *flags]) == 0
+    model = json.loads((tmp_path / "raw" / "model" / "model.json").read_text())
+    assert model["config"]["normalize"] is True
+    outputs = {path.name: path.read_bytes() for pattern in ("pred_*", "eval_*", "ktilde_*")
+               for path in (tmp_path / "raw").glob(pattern)}
+    assert len(outputs) == 8
+    assert outputs == {name: (tmp_path / "unit_out" / name).read_bytes() for name in outputs}
+
+
 def test_pipeline_reads_npy_data_dir_with_the_same_results(exact_data_dir, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -825,6 +907,44 @@ class TestExitCodes:
         cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=1)
         assert main(["--threads", "2", "synth", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 0
+
+    def test_threads_flag_after_the_command_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=1)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                  "--threads", "0"])
+        assert exc.value.code == 2
+        assert one_json_error(capsys) == "UsageError"
+
+
+def test_threads_are_set_before_numpy_loads(tmp_path):
+    # A finder first on sys.meta_path sees the first import of numpy and
+    # records the thread count that OpenBLAS would read at that moment.
+    probe = ("import os, runpy, sys\n"
+             "class Probe:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name == 'numpy':\n"
+             "            threads = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+             "            print('numpy', threads, file=sys.stderr)\n"
+             "sys.meta_path.insert(0, Probe())\n"
+             "runpy.run_module('dmap.cli', run_name='__main__')\n")
+    cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=1)
+    result = subprocess.run([sys.executable, "-c", probe, "--threads", "1", "synth", "--config",
+                             str(cfg), "--out-dir", str(tmp_path / "out")],
+                            env=child_env(OPENBLAS_NUM_THREADS=None), capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == ["numpy 1"]
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "pipeline"])
+def test_one_flag_per_config_field_named_from_its_key(command):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    for field in fields(DmapConfig):
+        flags = [action.option_strings for action in actions if action.dest == field.name]
+        assert flags == [["--" + field.metadata.get("key", field.name).replace("_", "-")]]
 
 
 # --- OpenBLAS worker timeout ---------------------------------------------------

@@ -18,7 +18,7 @@ from dmap.consistency import (
     project_onto_seen_span,
 )
 from dmap.core import EmbeddingMatrix, class_mean_prototypes
-from dmap.errors import DimensionMismatch, SingularSystem, ValidationError
+from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, ValidationError
 from dmap.linmap import predict_semantic
 from dmap.model import train
 from dmap.synth import PortableRng, defect_setup, exact_recovery_setup, generate
@@ -219,6 +219,16 @@ class TestConsistencyMeasure:
         assert after == pytest.approx(before, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("measure, error", [(consistency_measure, "consistency terms"),
+                                            (irc_gap, "irc_gap values")])
+def test_overflowing_images_refused(measure, error, rng):
+    # Finite relationship images whose norms overflow: NaN before.
+    A = 1e200 * rng.normal(size=(6, 4))
+    with pytest.raises(NumericalError, match=error):
+        measure(protos(A), rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+
+
 class TestIrcGap:
     def test_zero_when_equal(self, rng):
         A = rng.normal(size=(5, 4))
@@ -312,6 +322,17 @@ class TestProjection:
 
 
 class TestPreinspect:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_distances_refused(self):
+        # Embeddings x1e200: every distance squares to Inf, which gave an
+        # infinite default epsilon that flagged every pair.
+        synth_cfg, _ = exact_recovery_setup(seed=0)
+        ds = generate(synth_cfg)
+        K_s, K_u = (1e200 * ds.embeddings.subset(side).data
+                    for side in (ds.split.seen, ds.split.unseen))
+        with pytest.raises(NumericalError, match="projection distances"):
+            preinspect(K_s, K_u)
+
     def test_orthogonal_difference_is_flagged(self):
         K_s = np.eye(4)[:, :2]
         shared = np.array([0.5, 0.25, 0.0, 0.0])

@@ -20,6 +20,7 @@ from dmap.core import (
 from dmap.errors import (
     DimensionMismatch,
     MissingClass,
+    NumericalError,
     UnknownLabel,
     ValidationError,
 )
@@ -278,6 +279,18 @@ class TestColumnHelpers:
         a = rng.normal(size=(d, n)) + 0.1
         norms = np.linalg.norm(l2_normalize_columns(a), axis=0)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, error", [(1e200, "column norms are not finite"),
+                                              (1e-170, "column norms underflow")])
+    def test_l2_normalize_refuses_norms_beyond_float64(self, scale, error):
+        # The norm of the first column overflows to Inf (which would zero the
+        # column) or underflows to 0 (which would leave it unnormalised).
+        a = np.array([[3.0 * scale, 3.0, 0.0], [4.0 * scale, 4.0, 0.0]])
+        with pytest.raises(NumericalError, match=error):
+            l2_normalize_columns(a)
+        out = l2_normalize_columns(a[:, 1:])
+        np.testing.assert_array_equal(out[:, 1], [0.0, 0.0])  # zero still passes through
 
     def test_center_columns_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dmap.consistency import preinspect
+from dmap.consistency import DefectReport, preinspect
 from dmap.core import ClassSplit, FeatureMatrix
 from dmap.errors import ParseError, ShapeMismatch, ValidationError
 from dmap.evaluation import evaluate
@@ -545,6 +545,15 @@ class TestReports:
         assert len(obj["pairwise_distances"]) == len(ds.split.unseen)
         flagged = {(f["class_i"], f["class_j"]) for f in obj["flagged_pairs"]}
         assert flagged == {(a, b) for a, b, _ in report.flagged_pairs}
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_json_writers_refuse_non_finite_numbers(self, tmp_path, bad):
+        # json.dumps would write Infinity or NaN, which are not JSON.
+        report = DefectReport(np.zeros((1, 1)), (), bad, ("u0",))
+        path = tmp_path / "defects.json"
+        with pytest.raises(ValidationError, match="finite"):
+            save_defect_report(report, path)
+        assert not path.exists()
 
     def test_prediction_round_trip(self, tmp_path):
         scores = np.random.default_rng(5).normal(size=(3, 4))

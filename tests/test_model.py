@@ -8,18 +8,26 @@ ties are genuine, so equality can be demanded bitwise.
 
 import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmap.core import EmbeddingMatrix, class_mean_prototypes
+from dmap.core import (
+    EmbeddingMatrix,
+    FeatureMatrix,
+    LabeledDataset,
+    class_mean_prototypes,
+    l2_normalize_columns,
+)
 from dmap.errors import DimensionMismatch, EmptyTestSet, NumericalError, ValidationError
 from dmap.linmap import predict_semantic, solve_ridge_map
 from dmap.model import (
     CZSR,
     GZSR,
+    TRAINED_FIELDS,
     DmapConfig,
     _refine_prototypes,
     knn_prototype,
@@ -93,6 +101,42 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             DmapConfig(**kwargs)
+
+    def test_trained_fields_come_from_the_field_metadata(self):
+        assert TRAINED_FIELDS == ("gamma", "eta", "train_max_iter", "convergence_tol",
+                                  "normalize", "center")
+
+
+class TestModelInvariants:
+    """A ``DmapModel`` carries a feature mean exactly when it centres, of
+    the length of ``f_s``'s rows, and prototypes of ``f_tilde``'s dimension."""
+
+    @pytest.mark.parametrize("center, mean_rows, error", [
+        (False, 0, "takes no feature_mean"),
+        (True, None, "needs feature_mean"),
+        (True, 1, "feature_mean of shape"),
+        (True, -1, "feature_mean of shape"),
+    ])
+    def test_mean_must_match_centring(self, exact_world, center, mean_rows, error):
+        _, model = exact_world
+        mean = None if mean_rows is None else np.zeros(model.f_s.shape[0] + mean_rows)
+        with pytest.raises(ValidationError, match=error):
+            replace(model, config=replace(model.config, center=center), feature_mean=mean)
+
+    def test_prototypes_must_match_the_second_path(self, exact_world):
+        _, model = exact_world
+        k = model.k_tilde_s.data
+        with pytest.raises(ValidationError, match="second path maps into dim"):
+            replace(model, k_tilde_s=EmbeddingMatrix(np.vstack([k, k[:1]]),
+                                                     model.k_tilde_s.class_ids))
+
+    def test_centred_model_without_its_mean_refused(self):
+        # Without the check, each test batch was centred on its own mean.
+        synth_cfg, run_cfg = noisy_setup(seed=0)
+        data = generate(synth_cfg)
+        model = train(data.train, replace(run_cfg, center=True))
+        with pytest.raises(ValidationError, match="needs feature_mean"):
+            replace(model, feature_mean=None)
 
 
 class TestKnnPrototype:
@@ -278,6 +322,30 @@ class TestTrain:
         assert len(solved) == 1
         assert len(passed) == 2 + iterations
         assert all(T is solved[0] for T in passed)
+
+
+def test_normalize_equals_normalising_the_inputs_beforehand(noisy_world):
+    # normalize=True on raw inputs gives the bytes of normalize=False on
+    # features and embeddings that l2_normalize_columns scaled beforehand.
+    data, _ = noisy_world
+    _, run_cfg = noisy_setup(seed=0)
+    unit = l2_normalize_columns
+    pre = LabeledDataset(FeatureMatrix(unit(data.train.features.data)), data.train.labels,
+                         data.split, EmbeddingMatrix(unit(data.embeddings.data),
+                                                     data.embeddings.class_ids))
+    runs = {}
+    for normalize, train_set, X, K in ((True, data.train, data.test_features, data.embeddings),
+                                       (False, pre, unit(data.test_features.data),
+                                        pre.semantic)):
+        model = train(train_set, replace(run_cfg, normalize=normalize, train_max_iter=2))
+        K_u, K_s = K.subset(data.split.unseen), K.subset(data.split.seen)
+        outputs = [model.f_s, model.f_tilde, model.k_tilde_s.data]
+        for mode in (CZSR, GZSR):
+            outputs.append(infer_inductive(model, X, K_u, K_s, mode).score_matrix)
+            for prediction, prototypes in transductive_rounds(model, X, K_u, mode, 2):
+                outputs += [prediction.score_matrix, prototypes.data]
+        runs[normalize] = [a.tobytes() for a in outputs]
+    assert runs[True] == runs[False]
 
 
 class TestInductive:

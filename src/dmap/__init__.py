@@ -13,7 +13,8 @@ OpenBLAS worker timeout
 -----------------------
 NumPy's and SciPy's wheels each bundle their own OpenBLAS (NumPy's
 ``libscipy_openblas64_``, SciPy's ``libscipy_openblas``, the latter
-loaded by ``scipy.linalg``).  After a threaded call, each library's idle
+loaded by ``dmap.linmap`` for the Cholesky solves, without importing
+``scipy.linalg``).  After a threaded call, each library's idle
 workers busy-wait for 2^28 cycles (about 0.1 s) before they sleep, so a
 SciPy solve that follows a NumPy GEMM, or the reverse, shares its cores
 with the other library's spinning threads.  Importing this package
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import os
 
-# Set before any submodule imports NumPy or scipy.linalg; see the module
+# Set before any submodule loads NumPy's or SciPy's OpenBLAS; see the module
 # docstring for why idle OpenBLAS workers must not spin.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 

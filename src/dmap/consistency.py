@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     _class_ids,
@@ -32,6 +31,7 @@ from .core import (
     class_mean_prototypes,
 )
 from .errors import DimensionMismatch, SingularSystem, ValidationError
+from .linmap import _cho_factor, _cho_solve
 
 logger = logging.getLogger(__name__)
 
@@ -83,12 +83,12 @@ def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) ->
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SingularSystem("relationship system has non-finite entries; rescale the inputs")
     try:
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        cho = _cho_factor(gram)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"seen-prototype Gram is singular with lambda={lam}: {exc}"
         ) from exc
-    return _freeze(scipy.linalg.cho_solve(cho, rhs))
+    return _freeze(_cho_solve(cho, rhs))
 
 
 def _relationship_images(seen_prototypes, R_x, R_k) -> tuple[np.ndarray, np.ndarray]:

@@ -325,13 +325,21 @@ def build_label_matrix(labels: Sequence, seen: Sequence) -> np.ndarray:
 def l2_normalize_columns(a: np.ndarray) -> np.ndarray:
     """Scale every column to unit Euclidean norm; zero columns pass through.
     Raises ``NumericalError`` when a nonzero column's norm overflows or
-    underflows."""
+    underflows to 0.
+
+    A column whose sum of squares is subnormal lost bits to underflow, so
+    it is first divided by its largest magnitude; other columns are not,
+    which keeps their bytes."""
     arr = np.array(as_array(a), copy=True)
     nz = arr.any(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = _finite_result(np.linalg.norm(arr, axis=0), "column norms")
     if not norms[nz].all():
         raise NumericalError("column norms underflow to 0; rescale the inputs")
+    subnormal = nz & (norms * norms < np.finfo(np.float64).tiny)
+    if subnormal.any():
+        arr[:, subnormal] /= np.abs(arr[:, subnormal]).max(axis=0)
+        norms[subnormal] = np.linalg.norm(arr[:, subnormal], axis=0)
     arr[:, nz] /= norms[nz]
     return arr
 

@@ -36,18 +36,103 @@ messages and the factors are the same either way (see
 The feature side ``T = (X X^T + gamma I)^-1 X Y`` depends only on ``X``,
 ``Y`` and ``gamma``, so fits that differ only in ``K`` (the rounds of the
 dual-path training) compute it once with :func:`ridge_feature_side`.
+
+The Cholesky factor and solves call LAPACK ``dpotrf``/``dpotrs`` of the
+OpenBLAS that SciPy's wheel bundles (``scipy.libs/libscipy_openblas-*.so``)
+through ``ctypes``.  These are the library and routines that
+``scipy.linalg.cho_factor`` and ``cho_solve`` call, so the results are the
+same bytes, without the cost of importing ``scipy.linalg`` (about 0.3 s
+and 26 MB on 2 vCPUs).  Loading the library here is what loads SciPy's
+OpenBLAS into a ``dmap`` process, so the package's OpenBLAS timeout
+default reaches it.  That layout is private to SciPy; where it differs,
+as in a conda or distro SciPy, the solves go through ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
-import scipy.linalg
 
 from .core import _finite_result, _freeze, as_array
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 #: Gram matrices with estimated condition above this are refused.
 COND_LIMIT = 1e12
+
+
+@functools.cache
+def _openblas_lapack():
+    """``(dpotrf, dpotrs)`` of SciPy's bundled OpenBLAS, loaded on first use,
+    or ``None`` when ``scipy.libs`` does not hold exactly one such library
+    or it lacks either routine.  Locating it does not import ``scipy``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    libs = list((Path(spec.origin).parent.parent / "scipy.libs").glob("libscipy_openblas-*.so"))
+    if len(libs) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        potrf, potrs = lib.scipy_dpotrf_, lib.scipy_dpotrs_
+    except (OSError, AttributeError):
+        return None
+    # Fortran calling convention: every argument by reference, then the
+    # hidden length of the character argument UPLO.
+    num, buf = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    potrf.argtypes = [ctypes.c_char_p, num, buf, num, num, ctypes.c_size_t]
+    potrs.argtypes = [ctypes.c_char_p, num, num, buf, num, buf, num, num, ctypes.c_size_t]
+    potrf.restype = potrs.restype = None
+    return potrf, potrs
+
+
+def _cho_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``scipy.linalg.cho_factor(A, lower=True)`` for a finite square ``A``:
+    a Fortran-ordered copy holding the lower Cholesky factor, ``A``'s upper
+    triangle untouched, and ``True``.  Raises ``numpy.linalg.LinAlgError``
+    with SciPy's message when ``A`` is not positive definite."""
+    lapack = _openblas_lapack()
+    if lapack is None:
+        import scipy.linalg
+
+        return scipy.linalg.cho_factor(A, lower=True)
+    c = np.array(A, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {c.shape}")
+    n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
+    lapack[0](b"L", n, c.ctypes.data, ld, info, 1)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"{info.value}-th leading minor of the array is not positive definite")
+    if info.value < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info.value}-th argument "
+                         'on entry to "POTRF".')
+    return c, True
+
+
+def _cho_solve(cho: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve(cho, b)`` for ``cho`` from :func:`_cho_factor`:
+    the solution of ``A x = b`` for a 1-D or 2-D ``b``, a new array,
+    Fortran-ordered as f2py returns it.  A non-finite ``b`` raises
+    ``ValueError``, as SciPy's ``check_finite`` does."""
+    lapack = _openblas_lapack()
+    if lapack is None:
+        import scipy.linalg
+
+        return scipy.linalg.cho_solve(cho, b)
+    c, lower = np.asfortranarray(cho[0], dtype=np.float64), cho[1]
+    x = np.array(np.asarray_chkfinite(b, dtype=np.float64), order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
+    n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
+    nrhs = ctypes.c_int(x.shape[1] if x.ndim == 2 else 1)
+    lapack[1](b"L" if lower else b"U", n, nrhs, c.ctypes.data, ld, x.ctypes.data, ld, info, 1)
+    if info.value:
+        raise ValueError(f"illegal value in {-info.value}th argument of internal potrs")
+    return x
 
 
 def _spd_cholesky(B: np.ndarray, reg: float, what: str):
@@ -83,7 +168,7 @@ def _spd_cholesky(B: np.ndarray, reg: float, what: str):
     every computed eigenvalue is positive and ``(t + reg + s) / (reg - s)``
     bounds the computed ratio; at or below ``COND_LIMIT / 2`` (the factor
     2 absorbs the rounding of the bound and of the gate's own division)
-    the gate cannot refuse, and ``A`` goes straight to ``cho_factor``.
+    the gate cannot refuse, and ``A`` goes straight to the Cholesky factor.
 
     These rounding errors are relative only while nothing underflows: a
     product in the subnormal range errs by up to ``2^-1075`` absolutely, so
@@ -109,6 +194,9 @@ def _spd_cholesky(B: np.ndarray, reg: float, what: str):
         # Symmetric eigenvalues give the exact 2-norm condition number at
         # these sizes; an ill-conditioned Gram matrix means the closed form
         # would amplify noise by ~cond, so refuse rather than return junk.
+        # Imported here so that a certified gate never loads scipy.linalg.
+        import scipy.linalg
+
         try:
             eigs = np.abs(scipy.linalg.eigvalsh(A))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -121,8 +209,8 @@ def _spd_cholesky(B: np.ndarray, reg: float, what: str):
                 "increase the regulariser"
             )
     try:
-        return scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return _cho_factor(A)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"{what}: Cholesky factorisation failed: {exc}") from exc
 
 
@@ -153,10 +241,10 @@ def ridge_feature_side(X, Y, gamma: float) -> np.ndarray:
     d, n = X.shape
     if d <= n:
         cho_x = _spd_cholesky(X, gamma, "feature Gram X X^T")
-        T = scipy.linalg.cho_solve(cho_x, X @ Y)
+        T = _cho_solve(cho_x, X @ Y)
     else:
         cho_x = _spd_cholesky(X.T, gamma, "feature Gram X^T X")
-        T = X @ scipy.linalg.cho_solve(cho_x, Y)
+        T = X @ _cho_solve(cho_x, Y)
     T.setflags(write=False)
     return T
 
@@ -216,10 +304,10 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float, *,
     # feature-side solve's rounding cannot escape span(K).
     if p <= k:
         cho_k = _spd_cholesky(K, eta, "embedding Gram K K^T")
-        V = scipy.linalg.cho_solve(cho_k, (T @ K.T).T).T
+        V = _cho_solve(cho_k, (T @ K.T).T).T
     else:
         cho_k = _spd_cholesky(K.T, eta, "embedding Gram K^T K")
-        V = T @ scipy.linalg.cho_solve(cho_k, K.T)
+        V = T @ _cho_solve(cho_k, K.T)
     return _freeze(V)
 
 

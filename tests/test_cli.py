@@ -918,23 +918,38 @@ class TestExitCodes:
 
 
 def test_threads_are_set_before_numpy_loads(tmp_path):
-    # A finder first on sys.meta_path sees the first import of numpy and
-    # records the thread count that OpenBLAS would read at that moment.
-    probe = ("import os, runpy, sys\n"
+    # A finder first on sys.meta_path sees the first import of numpy, and a
+    # ctypes.CDLL subclass sees SciPy's OpenBLAS load; each records the
+    # settings that OpenBLAS would read at that moment.
+    probe = ("import ctypes, os, runpy, sys\n"
+             "def settings(what):\n"
+             "    print(what, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+             "          os.environ.get('OPENBLAS_THREAD_TIMEOUT'), file=sys.stderr)\n"
              "class Probe:\n"
              "    def find_spec(self, name, path=None, target=None):\n"
              "        if name == 'numpy':\n"
-             "            threads = os.environ.get('OPENBLAS_NUM_THREADS')\n"
-             "            print('numpy', threads, file=sys.stderr)\n"
+             "            settings('numpy')\n"
+             "class CDLL(ctypes.CDLL):\n"
+             "    def __init__(self, name, *args, **kwargs):\n"
+             "        if os.path.basename(name).startswith('libscipy_openblas-'):\n"
+             "            settings('libscipy_openblas')\n"
+             "        super().__init__(name, *args, **kwargs)\n"
              "sys.meta_path.insert(0, Probe())\n"
+             "ctypes.CDLL = CDLL\n"
              "runpy.run_module('dmap.cli', run_name='__main__')\n")
-    cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=1)
+    cfg = write_synth_config(tmp_path, d=6, p=3, k=4, l=2, n_per_class=3)
+    env = child_env(OPENBLAS_NUM_THREADS=None, OPENBLAS_THREAD_TIMEOUT=None)
     result = subprocess.run([sys.executable, "-c", probe, "--threads", "1", "synth", "--config",
-                             str(cfg), "--out-dir", str(tmp_path / "out")],
-                            env=child_env(OPENBLAS_NUM_THREADS=None), capture_output=True,
-                            text=True)
+                             str(cfg), "--out-dir", str(tmp_path / "data")],
+                            env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines() == ["numpy 1"]
+    assert result.stderr.splitlines() == ["numpy 1 4"]
+    result = subprocess.run([sys.executable, "-c", probe, "--threads", "1", "pipeline",
+                             "--data-dir", str(tmp_path / "data"), "--out-dir",
+                             str(tmp_path / "out"), "--m", "2", "--gamma", "1", "--eta", "1"],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == ["numpy 1 4", "libscipy_openblas 1 4"]
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "pipeline"])
@@ -975,6 +990,29 @@ def test_import_sets_the_openblas_timeout_before_blas_loads(preset, expected):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=child_env(OPENBLAS_THREAD_TIMEOUT=preset))
     assert result.stdout.split() == [expected, "False", "False"], result.stderr
+
+
+def test_certified_pipeline_loads_one_scipy_openblas_without_scipy_linalg(tmp_path):
+    # The cub-cli bench world at unit regularisers: the trace bound
+    # certifies every Gram, so no eigvalsh is needed.
+    cfg = write_synth_config(tmp_path, d=256, p=160, k=150, l=50, n_per_class=10,
+                             noise_sigma=0.05, irc_distortion=0.2, seed=1)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
+    probe = ("import atexit, os, runpy, sys\n"
+             "def report():\n"
+             "    with open('/proc/self/maps') as maps:\n"
+             "        paths = {line.split()[-1] for line in maps if len(line.split()) == 6}\n"
+             "    scipy_openblas = [path for path in paths\n"
+             "                      if os.path.basename(path).startswith('libscipy_openblas-')]\n"
+             "    print(len(scipy_openblas), 'scipy.linalg' in sys.modules, file=sys.stderr)\n"
+             "atexit.register(report)\n"
+             "runpy.run_module('dmap.cli', run_name='__main__')\n")
+    result = subprocess.run([sys.executable, "-c", probe, "pipeline", "--data-dir",
+                             str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+                             "--m", "10", "--gamma", "1", "--eta", "1", "--test-max-iter", "3"],
+                            env=child_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == ["1 False"]
 
 
 # --- malformed bytes and fuzzed inputs ----------------------------------------

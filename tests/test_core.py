@@ -292,6 +292,19 @@ class TestColumnHelpers:
         out = l2_normalize_columns(a[:, 1:])
         np.testing.assert_array_equal(out[:, 1], [0.0, 0.0])  # zero still passes through
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162])
+    def test_l2_normalize_subnormal_sums_of_squares_give_unit_norms(self, scale):
+        # The squares fall in the subnormal range and lose bits: unscaled,
+        # the first column came out with norm 1.0000056 (1e-160) or 1.006.
+        a = np.array([[3.0 * scale, 3.0, 0.0], [4.0 * scale, 4.0, 0.0]])
+        out = l2_normalize_columns(a)
+        np.testing.assert_allclose(out[:, 0], [0.6, 0.8], rtol=1e-15)
+        # Well-scaled columns keep the bytes of dividing by the unscaled norm.
+        b = np.random.default_rng(0).normal(size=(5, 7))
+        assert l2_normalize_columns(b).tobytes() == (b / np.linalg.norm(b, axis=0)).tobytes()
+        np.testing.assert_array_equal(out[:, 1:], [[0.6, 0.0], [0.8, 0.0]])
+
     def test_center_columns_roundtrip(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 7))

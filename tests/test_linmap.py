@@ -9,15 +9,19 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmap import linmap
+from dmap.consistency import consistency_report
 from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, ValidationError
 from dmap.linmap import (
     COND_LIMIT,
+    _cho_factor,
+    _cho_solve,
     _spd_cholesky,
     predict_semantic,
     ridge_feature_side,
     solve_ridge_map,
 )
-from dmap.model import DmapConfig, train
+from dmap.model import DmapConfig, infer_transductive, train
 from dmap.synth import SynthConfig, exact_recovery_setup, generate
 
 
@@ -393,3 +397,86 @@ def test_tiny_regularisers_compute_the_eigenvalues(monkeypatch):
     calls = count_eigvalsh_calls(monkeypatch)
     train(world.train, run_cfg)
     assert len(calls) >= 1
+
+
+# --- the Cholesky pair against scipy.linalg ------------------------------------
+
+def layout(a):
+    """Everything of an array a later product could see: bytes, shape, order."""
+    return a.tobytes(), a.shape, a.flags.c_contiguous, a.flags.f_contiguous
+
+
+def factor_outcome(factor, A):
+    try:
+        c, lower = factor(A)
+    except np.linalg.LinAlgError as exc:
+        return "refused", str(exc)
+    return layout(c), lower
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    extra=st.integers(0, 40),
+    nrhs=st.none() | st.integers(1, 40),
+    fortran_a=st.booleans(),
+    fortran_b=st.booleans(),
+    log_reg=st.floats(-8, 1),
+    broken=st.none() | st.integers(0, 299),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_cholesky_pair_matches_scipy(n, extra, nrhs, fortran_a, fortran_b, log_reg, broken,
+                                     seed):
+    """Same factor (both triangles), same solution and memory order, same
+    refusal message as ``scipy.linalg.cho_factor``/``cho_solve``, for C- and
+    Fortran-ordered inputs and 1-D and 2-D right-hand sides."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n + extra))
+    A = B @ B.T + 10.0 ** log_reg * np.eye(n)
+    # Junk above the diagonal: both factors read only the lower triangle
+    # and must leave the rest as it was.
+    A[np.triu_indices(n, 1)] = rng.normal(size=n * (n - 1) // 2)
+    if broken is not None:
+        A[broken % n, broken % n] *= -1.0  # the (broken % n + 1)-th leading minor fails
+    A = np.asarray(A, order="F" if fortran_a else "C")
+    expected = factor_outcome(lambda a: scipy.linalg.cho_factor(a, lower=True), A)
+    assert factor_outcome(_cho_factor, A) == expected
+    if expected[0] == "refused":
+        assert expected[1] == f"{broken % n + 1}-th leading minor of the array is not positive definite"
+        return
+    b = rng.normal(size=(n,) if nrhs is None else (n, nrhs))
+    b = np.asarray(b, order="F" if fortran_b else "C")
+    solution = layout(_cho_solve(_cho_factor(A), b))
+    assert solution == layout(scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b))
+
+
+#: The ``cub-cli`` bench world and the flags its pipeline runs with.
+CUB_CLI_WORLD = SynthConfig(d=256, p=160, k=150, l=50, n_per_class=10, noise_sigma=0.05,
+                            irc_distortion=0.2, seed=1)
+CUB_CLI_CONFIG = DmapConfig(m=10, gamma=1.0, eta=1.0, test_max_iter=3)
+
+
+def test_without_the_bundled_library_scipy_linalg_gives_the_same_bytes(monkeypatch):
+    world = generate(CUB_CLI_WORLD)
+    K_u = world.embeddings.subset(world.split.unseen)
+    all_X = np.concatenate([world.train.features.data, world.test_features.data], axis=1)
+    all_labels = tuple(world.train.labels) + tuple(world.test_labels)
+
+    def run():
+        model = train(world.train, CUB_CLI_CONFIG)
+        pred, protos = infer_transductive(model, world.test_features, K_u)
+        report = consistency_report(all_X, all_labels, world.split, world.embeddings,
+                                    CUB_CLI_CONFIG.lam)
+        arrays = (model.f_s, model.f_tilde, model.k_tilde_s.data, pred.score_matrix, protos.data)
+        return [a.tobytes() for a in arrays], pred.predicted_class, report
+
+    assert linmap._openblas_lapack() is not None
+    direct = run()
+    calls = []
+    for name in ("cho_factor", "cho_solve"):
+        routine = getattr(scipy.linalg, name)
+        monkeypatch.setattr(scipy.linalg, name, lambda *args, _routine=routine, **kwargs:
+                            calls.append(_routine) or _routine(*args, **kwargs))
+    monkeypatch.setattr(linmap, "_openblas_lapack", lambda: None)
+    assert run() == direct
+    assert len(set(calls)) == 2

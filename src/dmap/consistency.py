@@ -31,7 +31,7 @@ from .core import (
     class_mean_prototypes,
 )
 from .errors import DimensionMismatch, SingularSystem, ValidationError
-from .linmap import _cho_factor, _cho_solve
+from .linmap import _require_matrices, _spd_solve
 
 logger = logging.getLogger(__name__)
 
@@ -65,11 +65,13 @@ def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) ->
     (``dim x k``), ``a = (P^T P + lam I)^-1 P^T u_i``, with one
     factorisation of ``P^T P + lam I`` for all columns.
 
-    Raises ``SingularSystem`` when ``lam = 0`` and ``P^T P`` is singular, or
-    when the Gram matrix or the right-hand side overflows.
+    Raises ``ValidationError`` unless both are non-empty 2-D matrices, and
+    ``SingularSystem`` when ``lam = 0`` and ``P^T P`` is singular, or when
+    the Gram matrix or the right-hand side overflows.
     """
     P = as_array(seen_prototypes)
     U = as_array(unseen_prototypes)
+    _require_matrices(seen_prototypes=P, unseen_prototypes=U)
     if P.shape[0] != U.shape[0]:
         raise DimensionMismatch(
             f"seen prototypes have dim {P.shape[0]}, unseen have dim {U.shape[0]}"
@@ -82,20 +84,16 @@ def build_relationship_matrix(seen_prototypes, unseen_prototypes, lam: float) ->
         rhs = np.matmul(P.T, U.T[:, :, None])[:, :, 0].T
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SingularSystem("relationship system has non-finite entries; rescale the inputs")
-    try:
-        cho = _cho_factor(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"seen-prototype Gram is singular with lambda={lam}: {exc}"
-        ) from exc
-    return _freeze(_cho_solve(cho, rhs))
+    return _freeze(_spd_solve(gram, rhs, f"seen-prototype Gram is singular with lambda={lam}"))
 
 
 def _relationship_images(seen_prototypes, R_x, R_k) -> tuple[np.ndarray, np.ndarray]:
-    """``(X~_s R_x, X~_s R_k)`` after checking that the shapes agree; the
-    caller computes under ``np.errstate`` and checks what it derives."""
+    """``(X~_s R_x, X~_s R_k)`` after checking that each is a non-empty 2-D
+    matrix and that the shapes agree; the caller computes under
+    ``np.errstate`` and checks what it derives."""
     P = as_array(seen_prototypes)
     Rx, Rk = as_array(R_x), as_array(R_k)
+    _require_matrices(seen_prototypes=P, R_x=Rx, R_k=Rk)
     if Rx.shape != Rk.shape:
         raise DimensionMismatch(f"relationship shapes differ: {Rx.shape} vs {Rk.shape}")
     if P.shape[1] != Rx.shape[0]:
@@ -117,8 +115,9 @@ def consistency_measure(seen_prototypes, R_x, R_k) -> float:
     Degenerate norms (below ``1e-12``) are handled by convention: both
     degenerate gives a term of 1 (identical degenerate images), exactly
     one degenerate gives 0 (maximal inconsistency); both cases are logged.
-    Raises ``NumericalError`` when a term is not finite, as when the images
-    or their norms overflow.
+    Raises ``ValidationError`` unless every input is a non-empty 2-D matrix,
+    and ``NumericalError`` when a term is not finite, as when the images or
+    their norms overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         img_x, img_k = _relationship_images(seen_prototypes, R_x, R_k)
@@ -142,7 +141,8 @@ def irc_gap(seen_prototypes, R_x, R_k) -> float:
 
     Zero exactly when the inter-class relationships agree; the
     denominator is floored at the smallest positive normal double.
-    Raises ``NumericalError`` when the gap is not finite.
+    Raises ``ValidationError`` unless every input is a non-empty 2-D matrix,
+    and ``NumericalError`` when the gap is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _relative_gap(*_relationship_images(seen_prototypes, R_x, R_k))

@@ -30,22 +30,25 @@ before it is factorised.  Its eigenvalues are computed only when a bound
 read from the Gram's trace cannot certify that the gate passes; with a
 regulariser far above ``trace / COND_LIMIT``, as at unit ``gamma`` and
 ``eta``, the solve goes straight to the Cholesky factor.  Refusals, their
-messages and the factors are the same either way (see
-:func:`_spd_cholesky`).
+messages and the solutions are the same either way (see
+:func:`_gated_solve`).
 
 The feature side ``T = (X X^T + gamma I)^-1 X Y`` depends only on ``X``,
 ``Y`` and ``gamma``, so fits that differ only in ``K`` (the rounds of the
 dual-path training) compute it once with :func:`ridge_feature_side`.
 
-The Cholesky factor and solves call LAPACK ``dpotrf``/``dpotrs`` of the
-OpenBLAS that SciPy's wheel bundles (``scipy.libs/libscipy_openblas-*.so``)
-through ``ctypes``.  These are the library and routines that
-``scipy.linalg.cho_factor`` and ``cho_solve`` call, so the results are the
-same bytes, without the cost of importing ``scipy.linalg`` (about 0.3 s
-and 26 MB on 2 vCPUs).  Loading the library here is what loads SciPy's
-OpenBLAS into a ``dmap`` process, so the package's OpenBLAS timeout
-default reaches it.  That layout is private to SciPy; where it differs,
-as in a conda or distro SciPy, the solves go through ``scipy.linalg``.
+Each solve, the relationship solves of :mod:`dmap.consistency` included,
+is one call of LAPACK ``dposv`` (``dpotrf``, then ``dpotrs`` on the factor)
+in the OpenBLAS that SciPy's wheel bundles
+(``scipy.libs/libscipy_openblas-*.so``), through ``ctypes``.  These are
+the library and routines that ``scipy.linalg.cho_factor`` and
+``cho_solve`` call, so the results are the same bytes, without the cost
+of importing ``scipy.linalg`` (about 0.3 s and 26 MB on 2 vCPUs).
+Loading the library here is what loads SciPy's OpenBLAS into a ``dmap``
+process, so the package's OpenBLAS timeout default reaches it.  That
+layout is private to SciPy; where it differs, as in a conda or distro
+SciPy, each solve is ``cho_solve(cho_factor(A, lower=True), b)`` of
+``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -65,10 +68,10 @@ COND_LIMIT = 1e12
 
 
 @functools.cache
-def _openblas_lapack():
-    """``(dpotrf, dpotrs)`` of SciPy's bundled OpenBLAS, loaded on first use,
-    or ``None`` when ``scipy.libs`` does not hold exactly one such library
-    or it lacks either routine.  Locating it does not import ``scipy``."""
+def _openblas_dposv():
+    """LAPACK ``dposv`` of SciPy's bundled OpenBLAS, loaded on first use, or
+    ``None`` when ``scipy.libs`` does not hold exactly one such library or
+    it lacks the routine.  Locating it does not import ``scipy``."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or spec.origin is None:
         return None
@@ -76,71 +79,60 @@ def _openblas_lapack():
     if len(libs) != 1:
         return None
     try:
-        lib = ctypes.CDLL(str(libs[0]))
-        potrf, potrs = lib.scipy_dpotrf_, lib.scipy_dpotrs_
+        posv = ctypes.CDLL(str(libs[0])).scipy_dposv_
     except (OSError, AttributeError):
         return None
     # Fortran calling convention: every argument by reference, then the
     # hidden length of the character argument UPLO.
     num, buf = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    potrf.argtypes = [ctypes.c_char_p, num, buf, num, num, ctypes.c_size_t]
-    potrs.argtypes = [ctypes.c_char_p, num, num, buf, num, buf, num, num, ctypes.c_size_t]
-    potrf.restype = potrs.restype = None
-    return potrf, potrs
+    posv.argtypes = [ctypes.c_char_p, num, num, buf, num, buf, num, num, ctypes.c_size_t]
+    posv.restype = None
+    return posv
 
 
-def _cho_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``scipy.linalg.cho_factor(A, lower=True)`` for a finite square ``A``:
-    a Fortran-ordered copy holding the lower Cholesky factor, ``A``'s upper
-    triangle untouched, and ``True``.  Raises ``numpy.linalg.LinAlgError``
-    with SciPy's message when ``A`` is not positive definite."""
-    lapack = _openblas_lapack()
-    if lapack is None:
+def _spd_solve(A: np.ndarray, b: np.ndarray, failure: str) -> np.ndarray:
+    """``A^-1 b`` for a finite square ``A``, read from its lower triangle, and
+    a 1-D or 2-D ``b``: the bytes of
+    ``scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)``,
+    in a new array, Fortran-ordered as f2py returns it.
+
+    Raises ``SingularSystem`` with ``failure``, a colon and SciPy's message
+    when ``A`` is not positive definite, and ``ValueError`` for a non-finite
+    ``b``, as SciPy's ``check_finite`` does.
+    """
+    posv = _openblas_dposv()
+    if posv is None:
         import scipy.linalg
 
-        return scipy.linalg.cho_factor(A, lower=True)
-    c = np.array(A, dtype=np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {c.shape}")
-    n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
-    lapack[0](b"L", n, c.ctypes.data, ld, info, 1)
-    if info.value > 0:
-        raise np.linalg.LinAlgError(
-            f"{info.value}-th leading minor of the array is not positive definite")
-    if info.value < 0:
-        raise ValueError(f"LAPACK reported an illegal value in {-info.value}-th argument "
-                         'on entry to "POTRF".')
-    return c, True
-
-
-def _cho_solve(cho: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.cho_solve(cho, b)`` for ``cho`` from :func:`_cho_factor`:
-    the solution of ``A x = b`` for a 1-D or 2-D ``b``, a new array,
-    Fortran-ordered as f2py returns it.  A non-finite ``b`` raises
-    ``ValueError``, as SciPy's ``check_finite`` does."""
-    lapack = _openblas_lapack()
-    if lapack is None:
-        import scipy.linalg
-
-        return scipy.linalg.cho_solve(cho, b)
-    c, lower = np.asfortranarray(cho[0], dtype=np.float64), cho[1]
+        try:
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"{failure}: {exc}") from exc
+    a = np.array(A, dtype=np.float64, order="F")
     x = np.array(np.asarray_chkfinite(b, dtype=np.float64), order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != c.shape[0]:
-        raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
-    n, ld, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int()
+    if x.ndim not in (1, 2) or a.shape != (x.shape[0],) * 2:
+        raise ValueError(f"incompatible dimensions ({a.shape} and {x.shape})")
+    n, ld, info = ctypes.c_int(a.shape[0]), ctypes.c_int(max(1, a.shape[0])), ctypes.c_int()
     nrhs = ctypes.c_int(x.shape[1] if x.ndim == 2 else 1)
-    lapack[1](b"L" if lower else b"U", n, nrhs, c.ctypes.data, ld, x.ctypes.data, ld, info, 1)
-    if info.value:
-        raise ValueError(f"illegal value in {-info.value}th argument of internal potrs")
+    # dpotrf, then dpotrs on the factor, as cho_factor and cho_solve call them.
+    posv(b"L", n, nrhs, a.ctypes.data, ld, x.ctypes.data, ld, info, 1)
+    if info.value > 0:
+        raise SingularSystem(
+            f"{failure}: {info.value}-th leading minor of the array is not positive definite")
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}th argument of internal posv")
     return x
 
 
-def _spd_cholesky(B: np.ndarray, reg: float, what: str):
-    """Factor ``A = B B^T + reg*I`` after a finiteness and a conditioning check.
+def _gated_solve(B: np.ndarray, reg: float, rhs, what: str) -> np.ndarray:
+    """``A^-1 rhs()`` for ``A = B B^T + reg*I``, after a finiteness and a
+    conditioning check of ``A``, through :func:`_spd_solve`.
 
     ``B`` is ``r x m``, contracted over ``m``, and the Gram product is
     ``B @ B.T``: exactly ``X @ X.T`` for ``B = X`` and ``X.T @ X`` for
-    ``B = X.T``.
+    ``B = X.T``.  ``rhs`` returns the right-hand side; it is called only
+    once ``A`` has passed both checks, so a refused Gram computes no more.
+    Refusals raise ``SingularSystem`` naming ``what``.
 
     The gate refuses ``A`` when ``max|lambda| / min|lambda|`` of its
     computed eigenvalues exceeds ``COND_LIMIT``.  The eigenvalues are
@@ -168,7 +160,7 @@ def _spd_cholesky(B: np.ndarray, reg: float, what: str):
     every computed eigenvalue is positive and ``(t + reg + s) / (reg - s)``
     bounds the computed ratio; at or below ``COND_LIMIT / 2`` (the factor
     2 absorbs the rounding of the bound and of the gate's own division)
-    the gate cannot refuse, and ``A`` goes straight to the Cholesky factor.
+    the gate cannot refuse, and ``A`` goes straight to the solve.
 
     These rounding errors are relative only while nothing underflows: a
     product in the subnormal range errs by up to ``2^-1075`` absolutely, so
@@ -208,10 +200,7 @@ def _spd_cholesky(B: np.ndarray, reg: float, what: str):
                 f"{what} has condition ~{cond:.3g} (limit {COND_LIMIT:.3g}); "
                 "increase the regulariser"
             )
-    try:
-        return _cho_factor(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"{what}: Cholesky factorisation failed: {exc}") from exc
+    return _spd_solve(A, rhs(), f"{what}: Cholesky factorisation failed")
 
 
 def _require_matrices(**arrays: np.ndarray) -> None:
@@ -240,11 +229,9 @@ def ridge_feature_side(X, Y, gamma: float) -> np.ndarray:
         )
     d, n = X.shape
     if d <= n:
-        cho_x = _spd_cholesky(X, gamma, "feature Gram X X^T")
-        T = _cho_solve(cho_x, X @ Y)
+        T = _gated_solve(X, gamma, lambda: X @ Y, "feature Gram X X^T")
     else:
-        cho_x = _spd_cholesky(X.T, gamma, "feature Gram X^T X")
-        T = X @ _cho_solve(cho_x, Y)
+        T = X @ _gated_solve(X.T, gamma, lambda: Y, "feature Gram X^T X")
     T.setflags(write=False)
     return T
 
@@ -303,11 +290,9 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float, *,
     # rows are combinations of K's columns by construction and the
     # feature-side solve's rounding cannot escape span(K).
     if p <= k:
-        cho_k = _spd_cholesky(K, eta, "embedding Gram K K^T")
-        V = _cho_solve(cho_k, (T @ K.T).T).T
+        V = _gated_solve(K, eta, lambda: (T @ K.T).T, "embedding Gram K K^T").T
     else:
-        cho_k = _spd_cholesky(K.T, eta, "embedding Gram K^T K")
-        V = T @ _cho_solve(cho_k, K.T)
+        V = T @ _gated_solve(K.T, eta, lambda: K.T, "embedding Gram K^T K")
     return _freeze(V)
 
 

@@ -1,5 +1,6 @@
 """Inter-class relationships, the consistency measure, and pre-inspection."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,23 @@ def test_shape_mismatch_refused(measure, rng):
         measure(protos(A), R, rng.normal(size=(4, 3)))
     with pytest.raises(DimensionMismatch):
         measure(protos(A[:, :3]), R, R)
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda P, U, R: build_relationship_matrix(P, U[:, 0], 1e-3), "unseen_prototypes is (5,)"),
+    (lambda P, U, R: build_relationship_matrix(P[:, :0], U, 1e-3), "seen_prototypes is (5, 0)"),
+    (lambda P, U, R: consistency_measure(P, R[:, 0], R[:, 0]), "R_x is (4,)"),
+    (lambda P, U, R: irc_gap(P, R[:, 0], R[:, 0]), "R_k is (4,)"),
+    (lambda P, U, R: consistency_measure(P, R[:, :0], R[:, :0]), "R_x is (4, 0)"),
+    (lambda P, U, R: irc_gap(P[0], R, R), "seen_prototypes is (4,)"),
+], ids=["1-D unseen", "zero seen columns", "1-D R in consistency_measure",
+        "1-D R in irc_gap", "zero-column R", "1-D seen prototypes"])
+def test_inputs_that_are_not_non_empty_matrices_refused(call, shape, rng):
+    # Before the shape rule these ended in an IndexError, returned 0.0 or
+    # NaN (with NumPy's RuntimeWarning), or returned an empty matrix.
+    P, U, R = rng.normal(size=(5, 4)), rng.normal(size=(5, 2)), rng.normal(size=(4, 2))
+    with pytest.raises(ValidationError, match=re.escape(shape)):
+        call(P, U, R)
 
 
 class TestConsistencyReport:

@@ -14,9 +14,8 @@ from dmap.consistency import consistency_report
 from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, ValidationError
 from dmap.linmap import (
     COND_LIMIT,
-    _cho_factor,
-    _cho_solve,
-    _spd_cholesky,
+    _gated_solve,
+    _spd_solve,
     predict_semantic,
     ridge_feature_side,
     solve_ridge_map,
@@ -177,6 +176,16 @@ class TestClosedForm:
         with pytest.raises(SingularSystem, match="non-finite"):
             solve_ridge_map(np.eye(3), K, Y, np.nan, 1.0)
 
+    def test_refused_gram_computes_no_right_hand_side(self):
+        # X X^T overflows and so would X Y: the refusal comes first, without
+        # NumPy's overflow warning.
+        X = np.array([[1e308, 1e308, 1e308], [0.0, 1.0, 1.0]])
+        Y = np.array([[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match=r"^feature Gram X X\^T has non-finite"):
+                solve_ridge_map(X, np.eye(2), Y, 1.0, 1.0)
+
     @pytest.mark.parametrize("X, K, Y", [
         (np.zeros((0, 5)), np.ones((3, 2)), np.ones((5, 2))),  # d = 0
         (np.ones((4, 5)), np.ones((3, 0)), np.ones((5, 0))),  # k = 0
@@ -298,8 +307,9 @@ def test_reused_feature_side_gives_the_same_bytes(
 
 
 def eigvalsh_gate(gram, reg, what):
-    """The condition gate that computes every Gram's eigenvalues: the
-    reference the trace-bound shortcut of ``_spd_cholesky`` must match."""
+    """``A^-1`` behind the condition gate that computes every Gram's
+    eigenvalues: the reference the trace-bound shortcut of ``_gated_solve``
+    must match."""
     A = gram + reg * np.eye(gram.shape[0])
     if not np.all(np.isfinite(A)):
         raise SingularSystem(f"{what} has non-finite entries; rescale the inputs")
@@ -312,19 +322,25 @@ def eigvalsh_gate(gram, reg, what):
             "increase the regulariser"
         )
     try:
-        return scipy.linalg.cho_factor(A, lower=True)
+        factor = scipy.linalg.cho_factor(A, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"{what}: Cholesky factorisation failed: {exc}") from exc
+    return scipy.linalg.cho_solve(factor, np.eye(A.shape[0]))
 
 
-def gate_outcome(gate, *args):
-    """``("factor", bytes)`` or ``(exception type, message)``."""
+def gated_inverse(B, reg, what):
+    """``A^-1`` from the gated solve, a solve against the identity."""
+    return _gated_solve(B, reg, lambda: np.eye(B.shape[0]), what)
+
+
+def outcome(solve, *args):
+    """Everything of a solve's result a later product could see (bytes,
+    shape, memory order), or its ``SingularSystem`` and message."""
     try:
-        factor, lower = gate(*args)
+        x = solve(*args)
     except SingularSystem as exc:
         return type(exc), str(exc)
-    assert lower
-    return "factor", factor.tobytes()
+    return x.tobytes(), x.shape, x.flags.c_contiguous, x.flags.f_contiguous
 
 
 #: ``reg / trace``: zero, ``1e-14`` and up, or just above ``1 / COND_LIMIT``,
@@ -358,8 +374,8 @@ REG_OVER_TRACE = (st.just(0.0) | st.floats(-14, 1).map(lambda e: 10.0 ** e)
          reg_over_trace=(1 + 0.00019734886477676373) / COND_LIMIT, seed=2415876439)
 def test_trace_bound_gate_matches_the_eigvalsh_gate(short, extra, wide, decades, log_scale,
                                                     reg_over_trace, seed):
-    """Same acceptance, same refusal message, same factor bytes as the gate
-    that always computes eigenvalues, for ``B`` much wider (``m >> r``) or
+    """Same acceptance, same refusal message, same bytes of ``A^-1`` as the
+    gate that always computes eigenvalues, for ``B`` much wider (``m >> r``) or
     much taller than it is long, singular values spread over ``decades``,
     entries from the subnormal range to a Gram that overflows, and ``reg``
     from zero up."""
@@ -370,8 +386,8 @@ def test_trace_bound_gate_matches_the_eigvalsh_gate(short, extra, wide, decades,
     B *= 10.0 ** log_scale
     gram = B @ B.T
     reg = float(np.trace(gram) * reg_over_trace)
-    expected = gate_outcome(eigvalsh_gate, gram, reg, "Gram")
-    assert gate_outcome(_spd_cholesky, B, reg, "Gram") == expected
+    expected = outcome(eigvalsh_gate, gram, reg, "Gram")
+    assert outcome(gated_inverse, B, reg, "Gram") == expected
 
 
 def count_eigvalsh_calls(monkeypatch):
@@ -399,19 +415,16 @@ def test_tiny_regularisers_compute_the_eigenvalues(monkeypatch):
     assert len(calls) >= 1
 
 
-# --- the Cholesky pair against scipy.linalg ------------------------------------
+# --- the solve against scipy.linalg --------------------------------------------
 
-def layout(a):
-    """Everything of an array a later product could see: bytes, shape, order."""
-    return a.tobytes(), a.shape, a.flags.c_contiguous, a.flags.f_contiguous
-
-
-def factor_outcome(factor, A):
+def scipy_solve(A, b, failure):
+    """The reference: ``cho_solve(cho_factor(A, lower=True), b)`` of
+    ``scipy.linalg``, a failed factor raised as ``_spd_solve`` raises it."""
     try:
-        c, lower = factor(A)
-    except np.linalg.LinAlgError as exc:
-        return "refused", str(exc)
-    return layout(c), lower
+        factor = scipy.linalg.cho_factor(A, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(f"{failure}: {exc}") from exc
+    return scipy.linalg.cho_solve(factor, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,29 +438,35 @@ def factor_outcome(factor, A):
     broken=st.none() | st.integers(0, 299),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_cholesky_pair_matches_scipy(n, extra, nrhs, fortran_a, fortran_b, log_reg, broken,
-                                     seed):
-    """Same factor (both triangles), same solution and memory order, same
-    refusal message as ``scipy.linalg.cho_factor``/``cho_solve``, for C- and
-    Fortran-ordered inputs and 1-D and 2-D right-hand sides."""
+def test_spd_solve_matches_scipy(n, extra, nrhs, fortran_a, fortran_b, log_reg, broken, seed):
+    """Same solution bytes, shape and memory order, same refusal message as
+    ``scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)``,
+    for C- and Fortran-ordered inputs and 1-D and 2-D right-hand sides."""
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n + extra))
     A = B @ B.T + 10.0 ** log_reg * np.eye(n)
-    # Junk above the diagonal: both factors read only the lower triangle
-    # and must leave the rest as it was.
+    # Junk above the diagonal: both solves read only the lower triangle.
     A[np.triu_indices(n, 1)] = rng.normal(size=n * (n - 1) // 2)
     if broken is not None:
         A[broken % n, broken % n] *= -1.0  # the (broken % n + 1)-th leading minor fails
     A = np.asarray(A, order="F" if fortran_a else "C")
-    expected = factor_outcome(lambda a: scipy.linalg.cho_factor(a, lower=True), A)
-    assert factor_outcome(_cho_factor, A) == expected
-    if expected[0] == "refused":
-        assert expected[1] == f"{broken % n + 1}-th leading minor of the array is not positive definite"
-        return
     b = rng.normal(size=(n,) if nrhs is None else (n, nrhs))
     b = np.asarray(b, order="F" if fortran_b else "C")
-    solution = layout(_cho_solve(_cho_factor(A), b))
-    assert solution == layout(scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b))
+    expected = outcome(scipy_solve, A, b, "Gram")
+    inputs = A.tobytes(), b.tobytes()
+    assert outcome(_spd_solve, A, b, "Gram") == expected
+    assert (A.tobytes(), b.tobytes()) == inputs  # LAPACK works on copies
+    if broken is not None:
+        message = f"Gram: {broken % n + 1}-th leading minor of the array is not positive definite"
+        assert expected == (SingularSystem, message)
+
+
+@pytest.mark.parametrize("bundled", [True, False], ids=["dposv", "scipy.linalg"])
+def test_spd_solve_refuses_a_non_finite_right_hand_side(monkeypatch, bundled):
+    if not bundled:
+        monkeypatch.setattr(linmap, "_openblas_dposv", lambda: None)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _spd_solve(np.eye(2), np.array([1.0, np.nan]), "Gram")
 
 
 #: The ``cub-cli`` bench world and the flags its pipeline runs with.
@@ -470,13 +489,13 @@ def test_without_the_bundled_library_scipy_linalg_gives_the_same_bytes(monkeypat
         arrays = (model.f_s, model.f_tilde, model.k_tilde_s.data, pred.score_matrix, protos.data)
         return [a.tobytes() for a in arrays], pred.predicted_class, report
 
-    assert linmap._openblas_lapack() is not None
+    assert linmap._openblas_dposv() is not None
     direct = run()
     calls = []
     for name in ("cho_factor", "cho_solve"):
         routine = getattr(scipy.linalg, name)
         monkeypatch.setattr(scipy.linalg, name, lambda *args, _routine=routine, **kwargs:
                             calls.append(_routine) or _routine(*args, **kwargs))
-    monkeypatch.setattr(linmap, "_openblas_lapack", lambda: None)
+    monkeypatch.setattr(linmap, "_openblas_dposv", lambda: None)
     assert run() == direct
     assert len(set(calls)) == 2

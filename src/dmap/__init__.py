@@ -11,26 +11,27 @@ thread pools before ``numpy`` first loads.
 
 OpenBLAS worker timeout
 -----------------------
-NumPy's and SciPy's wheels each bundle their own OpenBLAS (NumPy's
-``libscipy_openblas64_``, SciPy's ``libscipy_openblas``, the latter
-loaded by ``dmap.linmap`` for the Cholesky solves, without importing
-``scipy.linalg``).  After a threaded call, each library's idle
-workers busy-wait for 2^28 cycles (about 0.1 s) before they sleep, so a
-SciPy solve that follows a NumPy GEMM, or the reverse, shares its cores
-with the other library's spinning threads.  Importing this package
-therefore sets ``OPENBLAS_THREAD_TIMEOUT=4`` (2^4 cycles) when the
-variable is not already set, so idle workers sleep at once.  A value in
-the environment wins; set it before the process starts, e.g.
+Every product and every solve runs in the OpenBLAS that NumPy's wheel
+bundles (``libscipy_openblas64_``; ``dmap.linmap`` calls its LAPACK
+through ``ctypes``).  SciPy's wheel bundles a second build, which loads
+only where ``scipy.linalg`` is imported: for the eigenvalues of a
+condition gate that the trace bound cannot certify, or for the solves
+where NumPy's library is missing.  After a threaded call, idle OpenBLAS
+workers busy-wait for 2^28 cycles (about 0.1 s) before they sleep, so
+the work that follows, in the process or in the other library, shares
+its cores with spinning threads.  Importing this package therefore sets
+``OPENBLAS_THREAD_TIMEOUT=4`` (2^4 cycles) when the variable is not
+already set, so idle workers sleep at once.  A value in the environment
+wins; set it before the process starts, e.g.
 ``OPENBLAS_THREAD_TIMEOUT=28 dmap pipeline ...``.  OpenBLAS reads the
 variable when the library loads, so the default cannot reach a copy
 loaded before ``dmap`` was imported: a program that imports ``numpy``
-first keeps NumPy's workers spinning, one that imports ``scipy.linalg``
-first keeps SciPy's.  The timeout does not change how OpenBLAS splits
-work between threads, so results are bit-identical.  Measured with the
-``perfbench`` medians on 2 vCPUs, ``wall_s`` went from 0.45 s to 0.26 s
-on ``awa-api`` (whose worker imports ``numpy`` first, so only SciPy's
-copy changed), 0.23 s to 0.11 s on ``many-gzsr`` and 1.53 s to 1.35 s
-on ``cub-cli``.
+first keeps NumPy's workers spinning.  The timeout does not change how
+OpenBLAS splits work between threads, so results are bit-identical.
+Measured with the ``perfbench`` medians on 2 vCPUs, while the solves
+ran in SciPy's library, ``wall_s`` went from 0.45 s to 0.26 s on
+``awa-api``, 0.23 s to 0.11 s on ``many-gzsr`` and 1.53 s to 1.35 s on
+``cub-cli``.
 """
 
 from __future__ import annotations

@@ -172,9 +172,15 @@ def project_onto_seen_span(K_s, K_u) -> np.ndarray:
 
     One minimum-norm least-squares solve covers every column, so
     rank-deficient seen embeddings are handled; the projections
-    themselves are unique either way.
+    themselves are unique either way.  Raises ``ValidationError`` unless
+    ``K_s`` is a non-empty matrix and ``K_u`` a vector or a non-empty
+    matrix.
     """
     Ks, Ku = as_array(K_s), as_array(K_u)
+    if Ku.ndim == 1:
+        _require_matrices(K_s=Ks)
+    else:
+        _require_matrices(K_s=Ks, K_u=Ku)
     if Ks.shape[0] != Ku.shape[0]:
         raise DimensionMismatch(
             f"seen embeddings have dim {Ks.shape[0]}, unseen have dim {Ku.shape[0]}"
@@ -200,8 +206,10 @@ def preinspect(K_s, K_u, epsilon: float | None = None) -> DefectReport:
     Classes are named by the
     ``class_ids`` of ``K_u``, or ``u0000, u0001, ...`` for a plain array.
     Raises ``NumericalError`` when a distance is not finite, as when the
-    embeddings are so large that their squares overflow.
+    embeddings are so large that their squares overflow, and
+    ``ValidationError`` unless both are non-empty matrices.
     """
+    _require_matrices(K_s=as_array(K_s), K_u=as_array(K_u))
     U = project_onto_seen_span(K_s, K_u)
     if epsilon is not None and not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValidationError(f"epsilon must be finite and nonnegative, got {epsilon!r}")

@@ -150,30 +150,31 @@ def load_matrix(path) -> np.ndarray:
         # A truncated gzip stream ends in EOFError, a corrupted one in
         # zlib.error; neither is an OSError.
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    # The lines of text.split("\n") without a last empty one, walked as
+    # slices of the text one at a time rather than held as a list.
+    if not text:
         raise ParseError("empty matrix file", line=1)
-    header = lines[0].split()
+    body_lines = text.count("\n") - text.endswith("\n")
+    end = text.find("\n")
+    first = text if end < 0 else text[:end]
+    header = first.split()
     if len(header) != 4 or header[0] != MATRIX_MAGIC or header[1] != MATRIX_VERSION:
         raise ParseError(
-            f"expected header '{MATRIX_MAGIC} {MATRIX_VERSION} <rows> <cols>', got {lines[0]!r}",
+            f"expected header '{MATRIX_MAGIC} {MATRIX_VERSION} <rows> <cols>', got {first!r}",
             line=1,
         )
     # int() also reads "+1", "1_0" and non-ASCII digits.
     if not all(tok.isascii() and tok.isdigit() for tok in header[2:]):
-        raise ParseError(f"shape in header is not two decimal integers: {lines[0]!r}", line=1)
+        raise ParseError(f"shape in header is not two decimal integers: {first!r}", line=1)
     try:
         rows, cols = int(header[2]), int(header[3])
     except ValueError:  # more digits than int() converts from text
         raise ParseError("shape in header has too many digits", line=1) from None
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix shape must be positive, got {rows}x{cols}", line=1)
-    body = lines[1:]
-    if len(body) != rows:
+    if body_lines != rows:
         raise ShapeMismatch(
-            f"header declares {rows} rows but body has {len(body)} lines"
+            f"header declares {rows} rows but body has {body_lines} lines"
         )
     # Each value takes at least one character, so this bounds the
     # allocation below by the file's own size.
@@ -181,7 +182,10 @@ def load_matrix(path) -> np.ndarray:
         raise ShapeMismatch(f"header declares {rows}x{cols} values, more than "
                             f"the file's {len(text)} characters can hold")
     out = np.empty((rows, cols))
-    for i, line in enumerate(body):
+    for i in range(rows):
+        start = end + 1
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
         tokens = line.split()
         # Checked before the row assignment, which would broadcast one token.
         if len(tokens) != cols:

@@ -39,28 +39,29 @@ dual-path training) compute it once with :func:`ridge_feature_side`.
 
 Each solve, the relationship solves of :mod:`dmap.consistency` included,
 is one call of LAPACK ``dposv`` (``dpotrf``, then ``dpotrs`` on the factor)
-in the OpenBLAS that SciPy's wheel bundles
-(``scipy.libs/libscipy_openblas-*.so``), through ``ctypes``.  These are
-the library and routines that ``scipy.linalg.cho_factor`` and
-``cho_solve`` call, so the results are the same bytes, without the cost
-of importing ``scipy.linalg`` (about 0.3 s and 26 MB on 2 vCPUs).
-Loading the library here is what loads SciPy's OpenBLAS into a ``dmap``
-process, so the package's OpenBLAS timeout default reaches it.  That
-layout is private to SciPy; where it differs, as in a conda or distro
-SciPy, each solve is ``cho_solve(cho_factor(A, lower=True), b)`` of
-``scipy.linalg``.
+in the OpenBLAS that NumPy's wheel bundles
+(``numpy.libs/libscipy_openblas64_-*.so``, 64-bit integer arguments),
+through ``ctypes``.  That library already runs every NumPy product, so a
+``dmap`` process holds one OpenBLAS and never imports ``scipy.linalg``
+for a solve (about 0.3 s and 26 MB on 2 vCPUs).  The results can differ
+from ``scipy.linalg.cho_factor`` and ``cho_solve`` in the last bit, since
+SciPy's wheel bundles another OpenBLAS build.  Where ``numpy.libs`` does
+not hold exactly one such library, as with NumPy < 2 wheels, conda or a
+distro NumPy, each solve is ``cho_solve(cho_factor(A, lower=True), b)``
+of ``scipy.linalg``, with SciPy's bytes.  The eigenvalues of an
+uncertified gate come from ``scipy.linalg.eigvalsh``, which loads
+SciPy's own OpenBLAS.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from .core import _finite_result, _freeze, as_array
+from .core import _finite_result, as_array
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 #: Gram matrices with estimated condition above this are refused.
@@ -69,22 +70,21 @@ COND_LIMIT = 1e12
 
 @functools.cache
 def _openblas_dposv():
-    """LAPACK ``dposv`` of SciPy's bundled OpenBLAS, loaded on first use, or
-    ``None`` when ``scipy.libs`` does not hold exactly one such library or
-    it lacks the routine.  Locating it does not import ``scipy``."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        return None
-    libs = list((Path(spec.origin).parent.parent / "scipy.libs").glob("libscipy_openblas-*.so"))
+    """LAPACK ``dposv`` of the OpenBLAS that NumPy's wheel bundles, built with
+    64-bit integer arguments, or ``None`` when ``numpy.libs`` does not hold
+    exactly one such library or it lacks the routine.  NumPy has already
+    mapped the library, so this adds no second copy to the process."""
+    libs = list((Path(np.__file__).parent.parent / "numpy.libs")
+                .glob("libscipy_openblas64_-*.so"))
     if len(libs) != 1:
         return None
     try:
-        posv = ctypes.CDLL(str(libs[0])).scipy_dposv_
+        posv = ctypes.CDLL(str(libs[0])).scipy_dposv_64_
     except (OSError, AttributeError):
         return None
     # Fortran calling convention: every argument by reference, then the
     # hidden length of the character argument UPLO.
-    num, buf = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    num, buf = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     posv.argtypes = [ctypes.c_char_p, num, num, buf, num, buf, num, num, ctypes.c_size_t]
     posv.restype = None
     return posv
@@ -92,9 +92,10 @@ def _openblas_dposv():
 
 def _spd_solve(A: np.ndarray, b: np.ndarray, failure: str) -> np.ndarray:
     """``A^-1 b`` for a finite square ``A``, read from its lower triangle, and
-    a 1-D or 2-D ``b``: the bytes of
+    a 1-D or 2-D ``b``, in a new array, Fortran-ordered as f2py returns it:
+    ``dpotrf`` then ``dpotrs`` of NumPy's OpenBLAS, the steps of
     ``scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)``,
-    in a new array, Fortran-ordered as f2py returns it.
+    which is the solve where that library is missing.
 
     Raises ``SingularSystem`` with ``failure``, a colon and SciPy's message
     when ``A`` is not positive definite, and ``ValueError`` for a non-finite
@@ -112,8 +113,8 @@ def _spd_solve(A: np.ndarray, b: np.ndarray, failure: str) -> np.ndarray:
     x = np.array(np.asarray_chkfinite(b, dtype=np.float64), order="F")
     if x.ndim not in (1, 2) or a.shape != (x.shape[0],) * 2:
         raise ValueError(f"incompatible dimensions ({a.shape} and {x.shape})")
-    n, ld, info = ctypes.c_int(a.shape[0]), ctypes.c_int(max(1, a.shape[0])), ctypes.c_int()
-    nrhs = ctypes.c_int(x.shape[1] if x.ndim == 2 else 1)
+    n, ld, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(max(1, a.shape[0])), ctypes.c_int64()
+    nrhs = ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1)
     # dpotrf, then dpotrs on the factor, as cho_factor and cho_solve call them.
     posv(b"L", n, nrhs, a.ctypes.data, ld, x.ctypes.data, ld, info, 1)
     if info.value > 0:
@@ -173,9 +174,13 @@ def _gated_solve(B: np.ndarray, reg: float, rhs, what: str) -> np.ndarray:
     """
     # A non-finite A is refused below; an overflowing trace certifies nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = B @ B.T
-        A = gram + reg * np.eye(gram.shape[0])
-        t = np.trace(gram)
+        A = B @ B.T
+        t = np.trace(A)
+        # A = gram + reg * np.eye(r), byte for byte, in the Gram's buffer:
+        # reg * 0.0 is each off-diagonal entry of reg * np.eye(r) (a signed
+        # zero, or NaN for an infinite reg), then the diagonal gets reg.
+        A += reg * 0.0
+        A.flat[::A.shape[0] + 1] += reg
     if not np.all(np.isfinite(A)):
         raise SingularSystem(f"{what} has non-finite entries; rescale the inputs")
     eps = np.finfo(np.float64).eps
@@ -293,7 +298,10 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float, *,
         V = _gated_solve(K, eta, lambda: (T @ K.T).T, "embedding Gram K K^T").T
     else:
         V = T @ _gated_solve(K.T, eta, lambda: K.T, "embedding Gram K^T K")
-    return _freeze(V)
+    # Both forms are new float64 arrays that nothing else holds.
+    V = np.ascontiguousarray(V)
+    V.setflags(write=False)
+    return V
 
 
 def predict_semantic(V, X) -> np.ndarray:

@@ -329,15 +329,16 @@ def train(dataset: LabeledDataset, config: DmapConfig) -> DmapModel:
     # Every map below shares X, Y and gamma, so they share the feature side.
     T = ridge_feature_side(X, Y, config.gamma)
     f_s = solve_ridge_map(X, K_seen, Y, config.gamma, config.eta, feature_side=T)
-    preds = predict_semantic(f_s, X)
-    k_tilde = _refine_prototypes(K_seen, preds, X, config.m)
+    k_tilde = _refine_prototypes(K_seen, predict_semantic(f_s, X), X, config.m)
 
+    # No round keeps its map or its predictions (d x d and d x n when the
+    # prototypes are d-dimensional) past the search that reads them.
     iterations_run = 0
     for _ in range(config.train_max_iter):
         f_tilde = solve_ridge_map(X, k_tilde, Y, config.gamma, config.eta,
                                   feature_side=T)
-        preds_tilde = predict_semantic(f_tilde, X)
-        refined = _refine_prototypes(k_tilde, preds_tilde, X, config.m)
+        refined = _refine_prototypes(k_tilde, predict_semantic(f_tilde, X), X, config.m)
+        del f_tilde
         delta = _relative_gap(refined, k_tilde)
         k_tilde = refined
         iterations_run += 1

@@ -79,14 +79,26 @@ class PortableRng:
         return self._gen.random(shape)
 
     def normal(self, *shape: int) -> np.ndarray:
+        """``z0`` of every pair, then ``z1`` of every pair, cut to the size of
+        ``shape``.  Built in place: ``u1`` becomes the radius in the first
+        half of the output and ``u2`` the angle, so the transform holds
+        one and a half times the output."""
         count = int(np.prod(shape)) if shape else 1
         pairs = (count + 1) // 2
-        u1 = self._gen.random(pairs)
-        u2 = self._gen.random(pairs)
-        radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], so finite
-        angle = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
-        return z.reshape(shape)
+        z = np.empty(2 * pairs)
+        radius, second = z[:pairs], z[pairs:]
+        self._gen.random(out=radius)
+        angle = self._gen.random(pairs)
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)  # 1 - u1 in (0, 1], so finite
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        np.sin(angle, out=second)
+        second *= radius
+        np.cos(angle, out=angle)
+        radius *= angle
+        return z[:count].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -195,6 +207,18 @@ def _unit_columns(rng: PortableRng, p: int, count: int) -> np.ndarray:
     return cols / np.linalg.norm(cols, axis=0)
 
 
+def _instances(rng: PortableRng, prototypes: np.ndarray, npc: int,
+               sigma: float) -> np.ndarray:
+    """``npc`` noisy copies of each prototype column, side by side: the
+    bytes of ``np.repeat(prototypes, npc, axis=1) + sigma * noise``, built
+    in the noise's own buffer."""
+    d, c = prototypes.shape
+    noise = rng.normal(d, c, npc)  # the draws of rng.normal(d, c * npc)
+    noise *= sigma
+    noise += prototypes[:, :, None]
+    return noise.reshape(d, c * npc)
+
+
 def generate(config: SynthConfig) -> SynthDataset:
     """Build one deterministic dataset according to ``config``.
 
@@ -240,12 +264,10 @@ def generate(config: SynthConfig) -> SynthDataset:
             combo /= np.linalg.norm(combo)
             prototypes[:, k + j] += config.irc_distortion * combo
 
-    train_X = np.repeat(prototypes[:, :k], npc, axis=1)
-    train_X = train_X + config.noise_sigma * rng.normal(d, k * npc)
+    train_X = _instances(rng, prototypes[:, :k], npc, config.noise_sigma)
     train_labels = tuple(cid for cid in seen_ids for _ in range(npc))
 
-    test_X = np.repeat(prototypes[:, k:], npc, axis=1)
-    test_X = test_X + config.noise_sigma * rng.normal(d, l * npc)
+    test_X = _instances(rng, prototypes[:, k:], npc, config.noise_sigma)
     test_labels = tuple(cid for cid in unseen_ids for _ in range(npc))
 
     split = ClassSplit(seen=seen_ids, unseen=unseen_ids)

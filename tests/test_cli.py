@@ -918,9 +918,10 @@ class TestExitCodes:
 
 
 def test_threads_are_set_before_numpy_loads(tmp_path):
-    # A finder first on sys.meta_path sees the first import of numpy, and a
-    # ctypes.CDLL subclass sees SciPy's OpenBLAS load; each records the
-    # settings that OpenBLAS would read at that moment.
+    # A finder first on sys.meta_path sees the first import of numpy, which
+    # loads its OpenBLAS, and a ctypes.CDLL subclass sees each OpenBLAS that
+    # dmap opens itself; each records the settings that OpenBLAS would read
+    # at that moment.  The solves open NumPy's own library, already loaded.
     probe = ("import ctypes, os, runpy, sys\n"
              "def settings(what):\n"
              "    print(what, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
@@ -931,8 +932,8 @@ def test_threads_are_set_before_numpy_loads(tmp_path):
              "            settings('numpy')\n"
              "class CDLL(ctypes.CDLL):\n"
              "    def __init__(self, name, *args, **kwargs):\n"
-             "        if os.path.basename(name).startswith('libscipy_openblas-'):\n"
-             "            settings('libscipy_openblas')\n"
+             "        if os.path.basename(name).startswith('libscipy_openblas'):\n"
+             "            settings(os.path.basename(name).split('-')[0])\n"
              "        super().__init__(name, *args, **kwargs)\n"
              "sys.meta_path.insert(0, Probe())\n"
              "ctypes.CDLL = CDLL\n"
@@ -949,7 +950,7 @@ def test_threads_are_set_before_numpy_loads(tmp_path):
                              str(tmp_path / "out"), "--m", "2", "--gamma", "1", "--eta", "1"],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines() == ["numpy 1 4", "libscipy_openblas 1 4"]
+    assert result.stderr.splitlines() == ["numpy 1 4", "libscipy_openblas64_ 1 4"]
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "pipeline"])
@@ -998,13 +999,16 @@ def test_certified_pipeline_loads_one_scipy_openblas_without_scipy_linalg(tmp_pa
     cfg = write_synth_config(tmp_path, d=256, p=160, k=150, l=50, n_per_class=10,
                              noise_sigma=0.05, irc_distortion=0.2, seed=1)
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
+    # Every OpenBLAS build of NumPy's and SciPy's wheels is a libscipy_openblas
+    # file; the solves use NumPy's, so no scipy module loads either.
     probe = ("import atexit, os, runpy, sys\n"
              "def report():\n"
              "    with open('/proc/self/maps') as maps:\n"
              "        paths = {line.split()[-1] for line in maps if len(line.split()) == 6}\n"
-             "    scipy_openblas = [path for path in paths\n"
-             "                      if os.path.basename(path).startswith('libscipy_openblas-')]\n"
-             "    print(len(scipy_openblas), 'scipy.linalg' in sys.modules, file=sys.stderr)\n"
+             "    openblas = [path for path in paths\n"
+             "                if os.path.basename(path).startswith('libscipy_openblas')]\n"
+             "    scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+             "    print(len(openblas), scipy, file=sys.stderr)\n"
              "atexit.register(report)\n"
              "runpy.run_module('dmap.cli', run_name='__main__')\n")
     result = subprocess.run([sys.executable, "-c", probe, "pipeline", "--data-dir",
@@ -1012,7 +1016,7 @@ def test_certified_pipeline_loads_one_scipy_openblas_without_scipy_linalg(tmp_pa
                              "--m", "10", "--gamma", "1", "--eta", "1", "--test-max-iter", "3"],
                             env=child_env(), capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines() == ["1 False"]
+    assert result.stderr.splitlines() == ["1 []"]
 
 
 # --- malformed bytes and fuzzed inputs ----------------------------------------

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +22,7 @@ from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, Valid
 from dmap.linmap import predict_semantic
 from dmap.model import train
 from dmap.synth import PortableRng, defect_setup, exact_recovery_setup, generate
+from oracles import cholesky_solve
 
 
 def ridge_gradient_descent_oracle(A, t, lam, steps=200_000, lr=None):
@@ -53,8 +53,7 @@ def protos(cols, ids=None):
 
 def percolumn_relationship(P, u, lam):
     """Ridge coefficients of one target, with its own Gram and factor."""
-    cho = scipy.linalg.cho_factor(P.T @ P + lam * np.eye(P.shape[1]), lower=True)
-    return scipy.linalg.cho_solve(cho, P.T @ u)
+    return cholesky_solve(P.T @ P + lam * np.eye(P.shape[1]), P.T @ u)
 
 
 def extract(P, t, lam):
@@ -139,7 +138,7 @@ class TestBuildRelationshipMatrix:
             A, U = np.asfortranarray(A), np.asfortranarray(U)
         try:
             expected = [percolumn_relationship(A, U[:, j], lam) for j in range(l)]
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             with pytest.raises(SingularSystem):
                 build_relationship_matrix(A, U, lam)
             return
@@ -340,6 +339,25 @@ class TestProjection:
 
 
 class TestPreinspect:
+    def test_one_dimensional_unseen_embeddings_refused(self, rng):
+        # project_onto_seen_span takes one unseen vector; preinspect
+        # compares columns, so it needs a matrix.
+        K_s, k_u = rng.normal(size=(5, 3)), rng.normal(size=5)
+        assert project_onto_seen_span(K_s, k_u).shape == (5,)
+        with pytest.raises(ValidationError, match=re.escape("K_u is (5,)")):
+            preinspect(K_s, k_u)
+
+    def test_one_dimensional_seen_embeddings_refused(self, rng):
+        for inspect in (preinspect, project_onto_seen_span):
+            with pytest.raises(ValidationError, match=re.escape("K_s is (5,)")):
+                inspect(rng.normal(size=5), rng.normal(size=(5, 2)))
+
+    def test_empty_seen_embeddings_refused(self, rng):
+        # Without the rule, every projection was 0 and every pair flagged.
+        for inspect in (preinspect, project_onto_seen_span):
+            with pytest.raises(ValidationError, match=re.escape("K_s is (5, 0)")):
+                inspect(np.empty((5, 0)), rng.normal(size=(5, 3)))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_distances_refused(self):
         # Embeddings x1e200: every distance squares to Inf, which gave an

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dmap.linmap import (
 )
 from dmap.model import DmapConfig, infer_transductive, train
 from dmap.synth import SynthConfig, exact_recovery_setup, generate
+from oracles import cholesky_solve
 
 
 def ridge_objective(V, X, K, Y, gamma, eta):
@@ -173,8 +175,10 @@ class TestClosedForm:
         Y = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(SingularSystem, match="non-finite"):
             solve_ridge_map(X, K, Y, 1.0, 1.0)
-        with pytest.raises(SingularSystem, match="non-finite"):
-            solve_ridge_map(np.eye(3), K, Y, np.nan, 1.0)
+        for reg in (np.nan, np.inf):
+            with pytest.raises(SingularSystem, match=r"^feature Gram X X\^T has non-finite "
+                                                     "entries; rescale the inputs$"):
+                solve_ridge_map(np.eye(3), K, Y, reg, 1.0)
 
     def test_refused_gram_computes_no_right_hand_side(self):
         # X X^T overflows and so would X Y: the refusal comes first, without
@@ -321,11 +325,7 @@ def eigvalsh_gate(gram, reg, what):
             f"{what} has condition ~{cond:.3g} (limit {COND_LIMIT:.3g}); "
             "increase the regulariser"
         )
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"{what}: Cholesky factorisation failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, np.eye(A.shape[0]))
+    return cholesky_reference(A, np.eye(A.shape[0]), f"{what}: Cholesky factorisation failed")
 
 
 def gated_inverse(B, reg, what):
@@ -390,6 +390,40 @@ def test_trace_bound_gate_matches_the_eigvalsh_gate(short, extra, wide, decades,
     assert outcome(gated_inverse, B, reg, "Gram") == expected
 
 
+def gated_matrices(B, reg):
+    """Every matrix that ``_gated_solve(B, reg, ...)`` hands to ``eigvalsh``
+    or to the solve, as copies."""
+    seen = []
+    eigvalsh, spd_solve = scipy.linalg.eigvalsh, linmap._spd_solve
+    with mock.patch.object(scipy.linalg, "eigvalsh",
+                           lambda A: seen.append(A.copy()) or eigvalsh(A)), \
+         mock.patch.object(linmap, "_spd_solve",
+                           lambda A, b, failure: seen.append(A.copy()) or spd_solve(A, b, failure)):
+        try:
+            gated_inverse(B, reg, "Gram")
+        except SingularSystem:
+            pass
+    return seen
+
+
+@given(r=st.integers(1, 10), m=st.integers(1, 10), zero_row=st.none() | st.integers(0, 9),
+       negative_zeros=st.booleans(),
+       reg=st.sampled_from([0.0, -0.0, 1e-300, 1e-14, 1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gate_builds_gram_plus_reg_identity_in_place(r, m, zero_row, negative_zeros, reg, seed):
+    """The matrix that ``_gated_solve`` builds in the Gram's own buffer has
+    the bytes of ``B @ B.T + reg * np.eye(r)``, signed zeros included, on
+    both branches of the gate: refused (``reg = 0`` with a zero row) or
+    solved."""
+    B = np.random.default_rng(seed).normal(size=(r, m))
+    if zero_row is not None:
+        B[zero_row % r] = -0.0 if negative_zeros else 0.0
+    expected = (B @ B.T + reg * np.eye(r)).tobytes()
+    seen = gated_matrices(B, reg)
+    assert seen
+    assert all(A.tobytes() == expected for A in seen)
+
+
 def count_eigvalsh_calls(monkeypatch):
     calls = []
     eigvalsh = scipy.linalg.eigvalsh
@@ -415,16 +449,15 @@ def test_tiny_regularisers_compute_the_eigenvalues(monkeypatch):
     assert len(calls) >= 1
 
 
-# --- the solve against scipy.linalg --------------------------------------------
+# --- the solve against dpotrf and dpotrs -------------------------------------
 
-def scipy_solve(A, b, failure):
-    """The reference: ``cho_solve(cho_factor(A, lower=True), b)`` of
-    ``scipy.linalg``, a failed factor raised as ``_spd_solve`` raises it."""
+def cholesky_reference(A, b, failure):
+    """The reference: ``dpotrf`` then ``dpotrs`` in two calls, a failed
+    factor raised as ``_spd_solve`` raises it."""
     try:
-        factor = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return cholesky_solve(A, b)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"{failure}: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -440,8 +473,10 @@ def scipy_solve(A, b, failure):
 )
 def test_spd_solve_matches_scipy(n, extra, nrhs, fortran_a, fortran_b, log_reg, broken, seed):
     """Same solution bytes, shape and memory order, same refusal message as
+    ``dpotrf`` then ``dpotrs`` of the same library, the steps of
     ``scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)``,
-    for C- and Fortran-ordered inputs and 1-D and 2-D right-hand sides."""
+    and a solution within rounding of SciPy's, for C- and Fortran-ordered
+    inputs and 1-D and 2-D right-hand sides."""
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n + extra))
     A = B @ B.T + 10.0 ** log_reg * np.eye(n)
@@ -452,13 +487,24 @@ def test_spd_solve_matches_scipy(n, extra, nrhs, fortran_a, fortran_b, log_reg, 
     A = np.asarray(A, order="F" if fortran_a else "C")
     b = rng.normal(size=(n,) if nrhs is None else (n, nrhs))
     b = np.asarray(b, order="F" if fortran_b else "C")
-    expected = outcome(scipy_solve, A, b, "Gram")
+    expected = outcome(cholesky_reference, A, b, "Gram")
     inputs = A.tobytes(), b.tobytes()
     assert outcome(_spd_solve, A, b, "Gram") == expected
     assert (A.tobytes(), b.tobytes()) == inputs  # LAPACK works on copies
     if broken is not None:
         message = f"Gram: {broken % n + 1}-th leading minor of the array is not positive definite"
         assert expected == (SingularSystem, message)
+        with pytest.raises(scipy.linalg.LinAlgError, match=re.escape(message[len("Gram: "):])):
+            scipy.linalg.cho_factor(A, lower=True)
+        return
+    # SciPy's wheel bundles another OpenBLAS build: the same solve up to
+    # rounding, bounded by the condition number of A.
+    lower = np.tril(A)
+    cond = np.linalg.cond(lower + np.tril(A, -1).T)
+    x = _spd_solve(A, b, "Gram")
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)
+    tol = 64 * n * np.finfo(np.float64).eps * cond * np.abs(ref).max()
+    np.testing.assert_allclose(x, ref, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("bundled", [True, False], ids=["dposv", "scipy.linalg"])

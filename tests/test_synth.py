@@ -41,19 +41,25 @@ class TestPortableRng:
         assert u.shape == (4, 6)
         assert np.all((u >= 0.0) & (u < 1.0))
 
-    def test_normals_follow_documented_transform(self):
+    @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_normals_follow_documented_transform(self, shape, seed):
         # Reproduce the documented Box-Muller construction directly from
-        # the underlying PCG64 uniforms and demand bitwise agreement.
-        seed, count = 31, 9
+        # the underlying PCG64 uniforms, in new arrays, and demand bitwise
+        # agreement with the in-place transform, for odd and even counts.
         gen = np.random.Generator(np.random.PCG64(seed))
+        count = int(np.prod(shape))
         pairs = (count + 1) // 2
         u1, u2 = gen.random(pairs), gen.random(pairs)
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         angle = 2.0 * np.pi * u2
-        expected = np.concatenate(
-            [radius * np.cos(angle), radius * np.sin(angle)]
-        )[:count]
-        assert np.array_equal(PortableRng(seed).normal(count), expected)
+        expected = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+        rng = PortableRng(seed)
+        z = rng.normal(*shape)
+        assert z.shape == tuple(shape)
+        assert z.tobytes() == expected.tobytes()
+        # The stream goes on where the same draws leave it.
+        assert rng.uniform(3).tobytes() == gen.random(3).tobytes()
 
     def test_normal_moments(self):
         z = PortableRng(123).normal(20_000)

@@ -11,15 +11,13 @@ thread pools before ``numpy`` first loads.
 
 OpenBLAS worker timeout
 -----------------------
-Every product and every solve runs in the OpenBLAS that NumPy's wheel
-bundles (``libscipy_openblas64_``; ``dmap.linmap`` calls its LAPACK
-through ``ctypes``).  SciPy's wheel bundles a second build, which loads
-only where ``scipy.linalg`` is imported: for the eigenvalues of a
-condition gate that the trace bound cannot certify, or for the solves
-where NumPy's library is missing.  After a threaded call, idle OpenBLAS
-workers busy-wait for 2^28 cycles (about 0.1 s) before they sleep, so
-the work that follows, in the process or in the other library, shares
-its cores with spinning threads.  Importing this package therefore sets
+Every product, solve and eigenvalue computation runs in the OpenBLAS
+that NumPy's wheel bundles (``libscipy_openblas64_``; ``dmap.linmap``
+calls its ``dposv`` through ``ctypes``).  SciPy's wheel bundles a second
+build, which loads only for the solves where NumPy's library is missing.
+After a threaded call, idle OpenBLAS workers busy-wait for 2^28 cycles
+(about 0.1 s) before they sleep, so the work that follows shares its
+cores with spinning threads.  Importing this package therefore sets
 ``OPENBLAS_THREAD_TIMEOUT=4`` (2^4 cycles) when the variable is not
 already set, so idle workers sleep at once.  A value in the environment
 wins; set it before the process starts, e.g.
@@ -28,10 +26,6 @@ variable when the library loads, so the default cannot reach a copy
 loaded before ``dmap`` was imported: a program that imports ``numpy``
 first keeps NumPy's workers spinning.  The timeout does not change how
 OpenBLAS splits work between threads, so results are bit-identical.
-Measured with the ``perfbench`` medians on 2 vCPUs, while the solves
-ran in SciPy's library, ``wall_s`` went from 0.45 s to 0.26 s on
-``awa-api``, 0.23 s to 0.11 s on ``many-gzsr`` and 1.53 s to 1.35 s on
-``cub-cli``.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .core import (
 )
 from .errors import ParseError, ShapeMismatch, ValidationError
 from .evaluation import EvalReport
-from .model import DmapConfig, DmapModel, Prediction
+from .model import CZSR, GZSR, DmapConfig, DmapModel, Prediction
 from .synth import SynthDataset
 
 MATRIX_MAGIC = "dmap-matrix"
@@ -363,6 +363,9 @@ def load_prediction(path) -> tuple[Prediction, str]:
     needed = {"mode", "instance_ids", "predicted", "candidates", "scores"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise ParseError(f"prediction file missing keys {sorted(needed)}: {path}")
+    if obj["mode"] not in (CZSR, GZSR):
+        raise ParseError(f"prediction mode must be {CZSR!r} or {GZSR!r}, "
+                         f"got {obj['mode']!r}: {path}")
     instance_ids = _ids(obj["instance_ids"], "instance_ids", path)
     predicted = _ids(obj["predicted"], "predicted", path)
     candidates = _ids(obj["candidates"], "candidates", path)
@@ -384,7 +387,7 @@ def load_prediction(path) -> tuple[Prediction, str]:
     if unknown:
         raise ParseError(f"predicted classes not among the candidates: "
                          f"{sorted(unknown, key=repr)}: {path}")
-    return Prediction(instance_ids, predicted, scores, candidates), str(obj["mode"])
+    return Prediction(instance_ids, predicted, scores, candidates), obj["mode"]
 
 
 def write_summary_csv(rows: Sequence[Mapping], path) -> None:

@@ -41,16 +41,16 @@ Each solve, the relationship solves of :mod:`dmap.consistency` included,
 is one call of LAPACK ``dposv`` (``dpotrf``, then ``dpotrs`` on the factor)
 in the OpenBLAS that NumPy's wheel bundles
 (``numpy.libs/libscipy_openblas64_-*.so``, 64-bit integer arguments),
-through ``ctypes``.  That library already runs every NumPy product, so a
-``dmap`` process holds one OpenBLAS and never imports ``scipy.linalg``
-for a solve (about 0.3 s and 26 MB on 2 vCPUs).  The results can differ
-from ``scipy.linalg.cho_factor`` and ``cho_solve`` in the last bit, since
-SciPy's wheel bundles another OpenBLAS build.  Where ``numpy.libs`` does
-not hold exactly one such library, as with NumPy < 2 wheels, conda or a
-distro NumPy, each solve is ``cho_solve(cho_factor(A, lower=True), b)``
-of ``scipy.linalg``, with SciPy's bytes.  The eigenvalues of an
-uncertified gate come from ``scipy.linalg.eigvalsh``, which loads
-SciPy's own OpenBLAS.
+through ``ctypes``; the eigenvalues of an uncertified gate come from
+``numpy.linalg.eigvalsh``.  That library already runs every NumPy
+product, so a ``dmap`` process holds one OpenBLAS and never imports
+``scipy.linalg`` (about 0.3 s and 26 MB on 2 vCPUs).  The results can
+differ from ``scipy.linalg.cho_factor`` and ``cho_solve`` in the last
+bit, since SciPy's wheel bundles another OpenBLAS build.  Where
+``numpy.libs`` does not hold exactly one such library, as with NumPy < 2
+wheels, conda or a distro NumPy, each solve is
+``cho_solve(cho_factor(A, lower=True), b)`` of ``scipy.linalg``, with
+SciPy's bytes.
 """
 
 from __future__ import annotations
@@ -154,7 +154,11 @@ def _gated_solve(B: np.ndarray, reg: float, rhs, what: str) -> np.ndarray:
       eigenvalues of ``A + F`` with ``||F||_2 <= p(r) u ||A||_2`` and
       ``||A||_2 <= t + reg`` to first order.  LAPACK states ``p(r)`` only
       as a modestly growing function of ``r``; the bound assumes
-      ``p(r) <= 6r``.
+      ``p(r) <= 6r``.  ``numpy.linalg.eigvalsh`` calls ``dsyevd`` with
+      ``JOBZ='N'``, which reduces ``A`` to tridiagonal form (``dsytrd``)
+      and takes its eigenvalues with ``dsterf``: the same two steps as
+      ``dsyevr``, ``scipy.linalg.eigvalsh``'s default, so the assumption
+      made for that routine carries over.
 
     Their sum, second-order terms included, is below
     ``s = c (m + r) eps (t + reg)`` with ``c = 4``.  So when ``reg - s > 0``
@@ -191,11 +195,8 @@ def _gated_solve(B: np.ndarray, reg: float, rhs, what: str) -> np.ndarray:
         # Symmetric eigenvalues give the exact 2-norm condition number at
         # these sizes; an ill-conditioned Gram matrix means the closed form
         # would amplify noise by ~cond, so refuse rather than return junk.
-        # Imported here so that a certified gate never loads scipy.linalg.
-        import scipy.linalg
-
         try:
-            eigs = np.abs(scipy.linalg.eigvalsh(A))
+            eigs = np.abs(np.linalg.eigvalsh(A))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SingularSystem(f"{what}: eigenvalue estimation failed: {exc}") from exc
         lo, hi = eigs.min(), eigs.max()

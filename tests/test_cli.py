@@ -785,6 +785,24 @@ class TestEvalCommand:
         assert one_json_error(capsys) == "ParseError"
         assert not (tmp_path / "eval.json").exists()
 
+    @pytest.mark.parametrize("mode", [None, 1, "CZSR", ""])
+    def test_prediction_with_an_unknown_mode_exits_4(self, tmp_path, capsys, mode):
+        # Also when --mode would take the stored mode's place.
+        pred = Prediction(("x0", "x1"), ("a", "b"), np.eye(2), ("a", "b"))
+        obj = prediction_to_dict(pred, mode)
+        (tmp_path / "pred.json").write_text(json.dumps(obj))
+        (tmp_path / "truth.json").write_text(json.dumps(["a", "b"]))
+        for flags in ([], ["--mode", "czsr"]):
+            code = main(["eval", "--pred", str(tmp_path / "pred.json"),
+                         "--truth", str(tmp_path / "truth.json"),
+                         "--out", str(tmp_path / "eval.json"), *flags])
+            assert code == 4
+            error = json.loads(capsys.readouterr().err)
+            assert error["error"] == "ParseError"
+            assert error["message"] == (f"prediction mode must be 'czsr' or 'gzsr', got "
+                                        f"{mode!r}: {tmp_path / 'pred.json'}")
+            assert not (tmp_path / "eval.json").exists()
+
     @pytest.mark.parametrize("topk", ["a", "1,x", "1,,2"])
     def test_bad_topk_exits_2(self, tmp_path, capsys, topk):
         pred = Prediction(("x0",), ("a",), np.array([[1.0]]), ("a",))
@@ -993,14 +1011,10 @@ def test_import_sets_the_openblas_timeout_before_blas_loads(preset, expected):
     assert result.stdout.split() == [expected, "False", "False"], result.stderr
 
 
-def test_certified_pipeline_loads_one_scipy_openblas_without_scipy_linalg(tmp_path):
-    # The cub-cli bench world at unit regularisers: the trace bound
-    # certifies every Gram, so no eigvalsh is needed.
-    cfg = write_synth_config(tmp_path, d=256, p=160, k=150, l=50, n_per_class=10,
-                             noise_sigma=0.05, irc_distortion=0.2, seed=1)
-    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
-    # Every OpenBLAS build of NumPy's and SciPy's wheels is a libscipy_openblas
-    # file; the solves use NumPy's, so no scipy module loads either.
+def openblas_and_scipy_at_exit(argv):
+    """``(number of OpenBLAS files mapped, scipy modules loaded)`` as the
+    ``stderr`` line of a child ``dmap`` process run with ``argv``.  Every
+    OpenBLAS build of NumPy's and SciPy's wheels is a libscipy_openblas file."""
     probe = ("import atexit, os, runpy, sys\n"
              "def report():\n"
              "    with open('/proc/self/maps') as maps:\n"
@@ -1011,12 +1025,31 @@ def test_certified_pipeline_loads_one_scipy_openblas_without_scipy_linalg(tmp_pa
              "    print(len(openblas), scipy, file=sys.stderr)\n"
              "atexit.register(report)\n"
              "runpy.run_module('dmap.cli', run_name='__main__')\n")
-    result = subprocess.run([sys.executable, "-c", probe, "pipeline", "--data-dir",
-                             str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
-                             "--m", "10", "--gamma", "1", "--eta", "1", "--test-max-iter", "3"],
+    result = subprocess.run([sys.executable, "-c", probe, *argv],
                             env=child_env(), capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines() == ["1 []"]
+    return result.stderr.splitlines()
+
+
+def test_certified_pipeline_loads_one_scipy_openblas_without_scipy_linalg(tmp_path):
+    # The cub-cli bench world at unit regularisers: the trace bound
+    # certifies every Gram, so no eigvalsh is needed.
+    cfg = write_synth_config(tmp_path, d=256, p=160, k=150, l=50, n_per_class=10,
+                             noise_sigma=0.05, irc_distortion=0.2, seed=1)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
+    assert openblas_and_scipy_at_exit(
+        ["pipeline", "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+         "--m", "10", "--gamma", "1", "--eta", "1", "--test-max-iter", "3"]) == ["1 []"]
+
+
+def test_uncertified_pipeline_loads_one_openblas_and_no_scipy(tmp_path):
+    # README's example: at these regularisers the trace bound certifies no
+    # Gram, so every gate computes eigenvalues, in NumPy's own library.
+    cfg = write_synth_config(tmp_path, seed=123)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
+    assert openblas_and_scipy_at_exit(
+        ["pipeline", "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+         *EXACT_FLAGS]) == ["1 []"]
 
 
 # --- malformed bytes and fuzzed inputs ----------------------------------------

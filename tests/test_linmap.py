@@ -310,14 +310,67 @@ def test_reused_feature_side_gives_the_same_bytes(
     assert reused.tobytes() == solve_ridge_map(X, K, Y, gamma, eta).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    wide_features=st.booleans(),
+    wide_embeddings=st.booleans(),
+    centred=st.booleans(),
+    small=st.integers(1, 6),
+    extra=st.integers(0, 5),
+    seed=st.integers(0, 10_000),
+    log_gamma=st.integers(-2, 2),
+    log_eta=st.integers(-2, 2),
+)
+def test_plus_minus_one_targets_are_twice_zero_one_targets_less_an_offset(
+        wide_features, wide_embeddings, centred, small, extra, seed, log_gamma, log_eta):
+    """``V+-`` fit to the +-1 labels is ``2 V01 - w b^T``, with ``V01`` fit to
+    the 0/1 labels ``(Y+- + 1) / 2``, ``w = (X X^T + gamma I)^-1 X 1`` and
+    ``b = (K K^T + eta I)^-1 K 1``, to rounding, on all four branch pairs
+    (d <= n or d > n, p <= k or p > k).  The map is linear in ``Y`` and the
+    all-ones matrix gives the offset.  Centred features have ``X 1 = 0``,
+    so ``w`` vanishes and ``V+- = 2 V01``."""
+    rng = np.random.default_rng(seed)
+    d, n = (small + extra + 1, small) if wide_features else (small, small + extra)
+    k = int(rng.integers(1, 6))
+    p = k + int(rng.integers(1, 4)) if wide_embeddings else int(rng.integers(1, k + 1))
+    X = rng.normal(size=(d, n)) + 3.0
+    if centred:
+        X -= X.mean(axis=1, keepdims=True)
+    K = rng.normal(size=(p, k)) + 1.0
+    Y = np.full((n, k), -1.0)
+    Y[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+    gamma, eta = 10.0 ** log_gamma, 10.0 ** log_eta
+    feature_gram = X @ X.T + gamma * np.eye(d)
+    embedding_gram = K @ K.T + eta * np.eye(p)
+    w = np.linalg.solve(feature_gram, X.sum(axis=1))
+    b = np.linalg.solve(embedding_gram, K.sum(axis=1))
+    V = solve_ridge_map(X, K, Y, gamma, eta)
+    twice_v01 = 2 * solve_ridge_map(X, K, (Y + 1) / 2, gamma, eta)
+    # The solves err by about cond * eps relative to their solutions; the
+    # products they solve against err relative to ||X|| ||Y|| ||K||, carried
+    # through the inverses of the Grams.
+    cond = np.linalg.cond(feature_gram) * np.linalg.cond(embedding_gram)
+    solutions = np.linalg.norm(V) + np.linalg.norm(twice_v01) + np.linalg.norm(np.outer(w, b))
+    products = (np.linalg.norm(X) * np.linalg.norm(Y) * np.linalg.norm(K)
+                / (np.linalg.eigvalsh(feature_gram)[0] * np.linalg.eigvalsh(embedding_gram)[0]))
+    tol = 64 * (d + n + p + k) * np.finfo(np.float64).eps * (cond * solutions + products)
+    assert np.linalg.norm(V - (twice_v01 - np.outer(w, b))) <= tol
+    if centred:
+        assert np.linalg.norm(np.outer(w, b)) <= tol
+        assert np.linalg.norm(V - twice_v01) <= tol
+    else:
+        # The offset is real: far above rounding for features with a mean.
+        assert np.linalg.norm(np.outer(w, b)) > tol
+
+
 def eigvalsh_gate(gram, reg, what):
     """``A^-1`` behind the condition gate that computes every Gram's
-    eigenvalues: the reference the trace-bound shortcut of ``_gated_solve``
-    must match."""
+    eigenvalues with ``numpy.linalg.eigvalsh``: the reference the
+    trace-bound shortcut of ``_gated_solve`` must match."""
     A = gram + reg * np.eye(gram.shape[0])
     if not np.all(np.isfinite(A)):
         raise SingularSystem(f"{what} has non-finite entries; rescale the inputs")
-    eigs = np.abs(scipy.linalg.eigvalsh(A))
+    eigs = np.abs(np.linalg.eigvalsh(A))
     lo, hi = eigs.min(), eigs.max()
     cond = np.inf if lo == 0.0 else hi / lo
     if cond > COND_LIMIT:
@@ -341,6 +394,16 @@ def outcome(solve, *args):
     except SingularSystem as exc:
         return type(exc), str(exc)
     return x.tobytes(), x.shape, x.flags.c_contiguous, x.flags.f_contiguous
+
+
+def gate_problem(short, extra, wide, decades, log_scale, reg_over_trace, seed):
+    """``B`` and ``reg`` for a gated solve of ``B B^T + reg*I``."""
+    rng = np.random.default_rng(seed)
+    r, m = (short, 4 * short + extra) if wide else (4 * short + extra, short)
+    q = min(r, m)
+    B = (rng.normal(size=(r, q)) * np.logspace(0, -decades, q)) @ rng.normal(size=(q, m))
+    B *= 10.0 ** log_scale
+    return B, float(np.trace(B @ B.T) * reg_over_trace)
 
 
 #: ``reg / trace``: zero, ``1e-14`` and up, or just above ``1 / COND_LIMIT``,
@@ -379,23 +442,54 @@ def test_trace_bound_gate_matches_the_eigvalsh_gate(short, extra, wide, decades,
     much taller than it is long, singular values spread over ``decades``,
     entries from the subnormal range to a Gram that overflows, and ``reg``
     from zero up."""
-    rng = np.random.default_rng(seed)
-    r, m = (short, 4 * short + extra) if wide else (4 * short + extra, short)
-    q = min(r, m)
-    B = (rng.normal(size=(r, q)) * np.logspace(0, -decades, q)) @ rng.normal(size=(q, m))
-    B *= 10.0 ** log_scale
-    gram = B @ B.T
-    reg = float(np.trace(gram) * reg_over_trace)
-    expected = outcome(eigvalsh_gate, gram, reg, "Gram")
+    B, reg = gate_problem(short, extra, wide, decades, log_scale, reg_over_trace, seed)
+    expected = outcome(eigvalsh_gate, B @ B.T, reg, "Gram")
     assert outcome(gated_inverse, B, reg, "Gram") == expected
+
+
+def drawn_gate_problem(rng):
+    """A :func:`gate_problem` drawn from the ranges of the trace-bound test."""
+    family = rng.integers(3)
+    reg_over_trace = (0.0 if family == 0 else 10.0 ** rng.uniform(-14, 1) if family == 1
+                      else (1 + rng.uniform(0, 1e-3)) / COND_LIMIT)
+    return gate_problem(int(rng.integers(1, 9)), int(rng.integers(0, 33)), bool(rng.integers(2)),
+                        rng.uniform(0, 9), rng.uniform(-175, 160), reg_over_trace,
+                        int(rng.integers(2 ** 32)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numpy_and_scipy_eigenvalues_differ_only_within_rounding(monkeypatch):
+    """The gate with ``numpy.linalg.eigvalsh`` (LAPACK ``dsyevd``) against the
+    gate with ``scipy.linalg.eigvalsh`` (``dsyevr``), on 2,000 seeded
+    problems of the trace-bound test's family.  Where the outcomes differ,
+    one of them is a refusal, and the two routines' smallest and largest
+    eigenvalues are within ``2 * 6r u ||A||`` of each other: the sum of the
+    backward errors that ``_gated_solve`` assumes for either routine.  Such
+    a difference can flip a verdict only for a condition within rounding
+    of ``COND_LIMIT``."""
+    rng = np.random.default_rng(23)
+    problems = [drawn_gate_problem(rng) for _ in range(2000)]
+    numpy_eigvalsh = np.linalg.eigvalsh
+    via_numpy = [outcome(gated_inverse, B, reg, "Gram") for B, reg in problems]
+    monkeypatch.setattr(np.linalg, "eigvalsh", scipy.linalg.eigvalsh)
+    via_scipy = [outcome(gated_inverse, B, reg, "Gram") for B, reg in problems]
+    for (B, reg), ours, theirs in zip(problems, via_numpy, via_scipy):
+        if ours == theirs:
+            continue
+        assert SingularSystem in (ours[0], theirs[0])
+        A = B @ B.T + reg * np.eye(B.shape[0])
+        eigs = [np.abs(eigvalsh(A)) for eigvalsh in (numpy_eigvalsh, scipy.linalg.eigvalsh)]
+        bound = 2 * 6 * A.shape[0] * (np.finfo(np.float64).eps / 2) * np.trace(A)
+        assert abs(eigs[0].min() - eigs[1].min()) <= bound
+        assert abs(eigs[0].max() - eigs[1].max()) <= bound
 
 
 def gated_matrices(B, reg):
     """Every matrix that ``_gated_solve(B, reg, ...)`` hands to ``eigvalsh``
     or to the solve, as copies."""
     seen = []
-    eigvalsh, spd_solve = scipy.linalg.eigvalsh, linmap._spd_solve
-    with mock.patch.object(scipy.linalg, "eigvalsh",
+    eigvalsh, spd_solve = np.linalg.eigvalsh, linmap._spd_solve
+    with mock.patch.object(np.linalg, "eigvalsh",
                            lambda A: seen.append(A.copy()) or eigvalsh(A)), \
          mock.patch.object(linmap, "_spd_solve",
                            lambda A, b, failure: seen.append(A.copy()) or spd_solve(A, b, failure)):
@@ -426,8 +520,8 @@ def test_gate_builds_gram_plus_reg_identity_in_place(r, m, zero_row, negative_ze
 
 def count_eigvalsh_calls(monkeypatch):
     calls = []
-    eigvalsh = scipy.linalg.eigvalsh
-    monkeypatch.setattr(scipy.linalg, "eigvalsh",
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda *args, **kwargs: calls.append(args) or eigvalsh(*args, **kwargs))
     return calls
 

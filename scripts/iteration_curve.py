@@ -16,6 +16,7 @@ Usage::
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from dmap.synth import generate, noisy_setup
 def run_seed(seed: int, iterations: int) -> list[dict]:
     synth, config = noisy_setup(seed)
     ds = generate(synth)
-    model = train(ds.train, config)
+    model = train(ds.train, replace(config, test_max_iter=iterations))
     K_u = ds.embeddings.subset(ds.split.unseen)
 
     rows = []
@@ -39,7 +40,7 @@ def run_seed(seed: int, iterations: int) -> list[dict]:
         "prototype_change": "",
     })
     previous = None
-    rounds = transductive_rounds(model, ds.test_features, K_u, None, iterations)
+    rounds = transductive_rounds(model, ds.test_features, K_u)
     for it, (pred, protos) in enumerate(rounds, start=1):
         change = (
             ""

@@ -158,8 +158,7 @@ def _cmd_predict(args) -> int:
     if trained_with:
         raise ValidationError(f"the model was trained with {trained_with}; "
                               "these settings cannot change at predict time")
-    config = replace(model.config, **values)
-    model = replace(model, config=config)
+    model = replace(model, config=replace(model.config, **values))
     split = dio.load_split(args.split)
     embeddings = dio.load_embeddings(args.embeddings, split)
     X = dio.load_matrix(args.test_features)
@@ -168,11 +167,11 @@ def _cmd_predict(args) -> int:
     K_seen = embeddings.subset(split.seen)
     _ensure_parent(args.out)
     if args.inductive:
-        prediction = infer_inductive(model, test, K_unseen, K_seen, config.mode)
+        prediction = infer_inductive(model, test, K_unseen, K_seen)
     else:
-        prediction, k_tilde_u = infer_transductive(model, test, K_unseen, config.mode)
+        prediction, k_tilde_u = infer_transductive(model, test, K_unseen)
         dio.save_matrix(k_tilde_u.data, _ktilde_path(args.out))
-    dio.save_prediction(prediction, config.mode, args.out)
+    dio.save_prediction(prediction, model.config.mode, args.out)
     print(f"predicted {len(prediction.instance_ids)} instance(s) -> {args.out}")
     return 0
 
@@ -266,10 +265,8 @@ def _cmd_pipeline(args) -> int:
             "irc_gap": gap_value,
         })
 
-    record(0, infer_inductive(model, test_features, K_unseen, K_seen, config.mode),
-           "inductive")
-    rounds = transductive_rounds(model, test_features, K_unseen, config.mode,
-                                 config.test_max_iter)
+    record(0, infer_inductive(model, test_features, K_unseen, K_seen), "inductive")
+    rounds = transductive_rounds(model, test_features, K_unseen)
     for t, (prediction, k_tilde_u) in enumerate(rounds, start=1):
         dio.save_matrix(k_tilde_u.data, out_dir / f"ktilde_u_iter{t}.dmx")
         record(t, prediction, f"iter{t}")

@@ -27,11 +27,12 @@ from .core import (
     _finite_result,
     _freeze,
     _relative_gap,
+    _require_matrices,
     as_array,
     class_mean_prototypes,
 )
 from .errors import DimensionMismatch, SingularSystem, ValidationError
-from .linmap import _require_matrices, _spd_solve
+from .linmap import _spd_solve
 
 logger = logging.getLogger(__name__)
 

@@ -54,6 +54,13 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} contains non-finite entries (NaN or Inf)")
 
 
+def _require_matrices(**arrays: np.ndarray) -> None:
+    """Refuse empty or non-2-D inputs, naming every shape."""
+    if any(a.ndim != 2 or 0 in a.shape for a in arrays.values()):
+        shapes = ", ".join(f"{name} is {a.shape}" for name, a in arrays.items())
+        raise ValidationError(f"{shapes}: each must be a non-empty 2-D matrix")
+
+
 def _finite_result(a: np.ndarray, what: str) -> np.ndarray:
     """Return the computed array ``a``, or raise ``NumericalError`` if it
     overflowed to Inf or NaN.  Callers compute ``a`` under
@@ -279,11 +286,13 @@ def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> Embe
     Raises
     ------
     MissingClass
-        If a requested class has no instances.
+        If a requested class has no instances, as when ``features`` has no columns.
     ValidationError
-        If ``classes`` repeats an id.
+        If ``features`` is not 2-D with rows, or ``classes`` repeats an id.
     """
     X = as_array(features)
+    if X.ndim != 2 or X.shape[0] == 0:
+        _require_matrices(features=X)
     labels = tuple(labels)
     if len(labels) != X.shape[1]:
         raise DimensionMismatch(f"{len(labels)} labels for {X.shape[1]} feature columns")

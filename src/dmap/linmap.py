@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _finite_result, as_array
+from .core import _finite_result, _require_matrices, as_array
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 #: Gram matrices with estimated condition above this are refused.
@@ -207,13 +207,6 @@ def _gated_solve(B: np.ndarray, reg: float, rhs, what: str) -> np.ndarray:
                 "increase the regulariser"
             )
     return _spd_solve(A, rhs(), f"{what}: Cholesky factorisation failed")
-
-
-def _require_matrices(**arrays: np.ndarray) -> None:
-    """Refuse empty or non-2-D inputs, naming every shape."""
-    if any(a.ndim != 2 or 0 in a.shape for a in arrays.values()):
-        shapes = ", ".join(f"{name} is {a.shape}" for name, a in arrays.items())
-        raise ValidationError(f"{shapes}: each must be a non-empty 2-D matrix")
 
 
 def ridge_feature_side(X, Y, gamma: float) -> np.ndarray:

@@ -40,6 +40,7 @@ from .core import (
     _finite_result,
     _relative_gap,
     _require_finite,
+    _require_matrices,
     as_array,
     build_label_matrix,
     center_columns,
@@ -186,7 +187,8 @@ def knn_prototype(class_anchor, predictions, features, m: int, *,
     search happens in the prediction space, averaging in feature space.
 
     Ties in distance are broken toward the lower instance index, and
-    ``m`` larger than the instance count is clamped (with a warning).
+    ``m`` larger than the instance count is clamped (with a warning); an
+    ``m`` that is not an integer, ``bool`` included, is refused.
     ``search`` is this anchor's ``(keys, band half-width)`` from
     :func:`_search_keys`; :func:`_refine_prototypes` passes it so that one
     GEMM serves every anchor.  Without it the keys are computed here.
@@ -223,9 +225,11 @@ def _refine_prototypes(anchors, predictions, features, m: int) -> np.ndarray:
 def _search_inputs(A: np.ndarray, predictions, features, m: int):
     """Checked ``(P, X, m)`` for a search of ``predictions`` around the
     columns of ``A``: ``P`` row-major, as the reference distance sums run
-    row by row, and ``m`` clamped to the instance count."""
+    row by row, and ``m`` an integer clamped to the instance count."""
     P = np.ascontiguousarray(as_array(predictions))
     X = as_array(features)
+    if P.ndim != 2 or X.ndim != 2:
+        _require_matrices(predictions=P, features=X)
     if P.shape[0] != A.shape[0]:
         raise DimensionMismatch(
             f"anchor has dim {A.shape[0]} but predictions have dim {P.shape[0]}"
@@ -234,6 +238,8 @@ def _search_inputs(A: np.ndarray, predictions, features, m: int):
         raise DimensionMismatch(
             f"{P.shape[1]} predictions for {X.shape[1]} feature columns"
         )
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+        raise ValidationError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValidationError("m must be at least 1")
     n = P.shape[1]
@@ -384,10 +390,9 @@ def _input_matrix(x, what: str) -> np.ndarray:
     return a
 
 
-def _candidates(model: DmapModel, mode: str | None, unseen, seen) -> tuple[np.ndarray, tuple]:
-    """Candidate matrix and ids under ``mode`` (default: the model's): the
-    unseen classes (``czsr``), or the seen followed by the unseen (``gzsr``)."""
-    mode = _check_mode(model.config.mode if mode is None else mode)
+def _candidates(mode: str, unseen, seen) -> tuple[np.ndarray, tuple]:
+    """Candidate matrix and ids under ``mode``: the unseen classes
+    (``czsr``), or the seen followed by the unseen (``gzsr``)."""
     Ku = _input_matrix(unseen, "unseen embedding matrix")
     if mode == CZSR:
         return Ku, _class_ids(unseen, "u")
@@ -402,14 +407,14 @@ def _candidates(model: DmapModel, mode: str | None, unseen, seen) -> tuple[np.nd
             _class_ids(seen, "s") + _class_ids(unseen, "u"))
 
 
-def _test_side(model: DmapModel, X_test, mode: str | None, unseen, seen=None):
+def _test_side(model: DmapModel, X_test, mode: str, unseen, seen=None):
     """The set-up that inductive and transductive inference share:
     ``(X, instance_ids, K, class_ids, P)``, the test features prepared as in
     training, the :func:`_candidates` (L2-normalised when the model
     normalises) and the ``f_s`` predictions ``P``.  Raises ``EmptyTestSet``
     for a batch without instances and ``DimensionMismatch`` unless ``f_s``
     maps into the dimension of ``K``."""
-    K, class_ids = _candidates(model, mode, unseen, seen)
+    K, class_ids = _candidates(mode, unseen, seen)
     X = _input_matrix(X_test, "test feature matrix")
     if X.shape[1] < 1:
         raise EmptyTestSet("no test instances")
@@ -426,57 +431,51 @@ def _test_side(model: DmapModel, X_test, mode: str | None, unseen, seen=None):
     return X, instance_ids, K, class_ids, preds
 
 
-def infer_inductive(model: DmapModel, X_test, K_unseen,
-                    K_seen=None, mode: str | None = None) -> Prediction:
+def infer_inductive(model: DmapModel, X_test, K_unseen, K_seen=None) -> Prediction:
     """Classify by inner product between ``f_s`` predictions and embeddings.
 
-    Candidates are the unseen classes alone (``czsr``) or seen followed
-    by unseen (``gzsr``, which requires ``K_seen``).
+    Candidates under ``model.config.mode`` are the unseen classes alone
+    (``czsr``) or seen followed by unseen (``gzsr``, which requires ``K_seen``).
     """
     _, instance_ids, candidates, candidate_ids, preds = _test_side(
-        model, X_test, mode, K_unseen, K_seen)
+        model, X_test, model.config.mode, K_unseen, K_seen)
     return _score_and_predict(candidates, candidate_ids, preds, instance_ids)
 
 
-def transductive_rounds(model: DmapModel, X_test, K_unseen, mode: str | None,
-                        iterations: int):
-    """Yield ``(Prediction, EmbeddingMatrix)`` after each transductive
-    round, the matrix holding that round's unseen prototypes ``K~_u``.
+def transductive_rounds(model: DmapModel, X_test, K_unseen):
+    """Yield ``(Prediction, EmbeddingMatrix)`` after each of the
+    ``model.config.test_max_iter`` transductive rounds, the matrix holding
+    that round's unseen prototypes ``K~_u``.
 
     Round 1 builds each unseen prototype from the ``m`` test features
     whose ``f_s`` predictions lie nearest the class embedding; rounds 2+
     re-anchor at the current prototypes and search among ``f~_s``
     predictions.  Each round's prototypes score the batch via
     ``<f~_s(x), k~_c>`` (against the refined seen prototypes too under
-    ``gzsr``), so round ``t`` equals ``infer_transductive(...,
-    iterations=t)``.
+    ``gzsr``), so round ``t`` equals :func:`infer_transductive` of a model
+    whose ``config.test_max_iter`` is ``t``.
     """
-    mode = _check_mode(model.config.mode if mode is None else mode)
     # The first search anchors at the unseen embeddings alone.
     X, instance_ids, k_tilde_u, unseen_ids, search = _test_side(model, X_test, CZSR, K_unseen)
     preds_tilde = predict_semantic(model.f_tilde, X)
-    for _ in range(iterations):
+    for _ in range(model.config.test_max_iter):
         k_tilde_u = _refine_prototypes(k_tilde_u, search, X, model.config.m)
         search = preds_tilde
         prototypes = EmbeddingMatrix(k_tilde_u, unseen_ids)
-        candidates, candidate_ids = _candidates(model, mode, prototypes, model.k_tilde_s)
-        yield (_score_and_predict(candidates, candidate_ids, preds_tilde, instance_ids),
-               prototypes)
+        candidates, ids = _candidates(model.config.mode, prototypes, model.k_tilde_s)
+        yield _score_and_predict(candidates, ids, preds_tilde, instance_ids), prototypes
 
 
-def infer_transductive(model: DmapModel, X_test, K_unseen,
-                       mode: str | None = None,
-                       iterations: int | None = None) -> tuple[Prediction, EmbeddingMatrix]:
+def infer_transductive(model: DmapModel, X_test, K_unseen) -> tuple[Prediction, EmbeddingMatrix]:
     """Batch inference with transductively constructed unseen prototypes:
-    the last of ``iterations`` (default ``test_max_iter``) rounds of
-    :func:`transductive_rounds`.
+    the last of the ``model.config.test_max_iter`` rounds of
+    :func:`transductive_rounds`, which must be at least one.
 
     Returns the prediction and the ``EmbeddingMatrix`` of the constructed
     unseen prototypes.
     """
-    iterations = model.config.test_max_iter if iterations is None else iterations
-    if iterations < 1:
+    if model.config.test_max_iter < 1:
         raise ValidationError("transductive inference needs at least one iteration")
-    for result in transductive_rounds(model, X_test, K_unseen, mode, iterations):
+    for result in transductive_rounds(model, X_test, K_unseen):
         pass
     return result

@@ -3,11 +3,18 @@
 import ctypes
 import functools
 import os
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
 from dmap import linmap
+
+
+def with_config(model, **changes):
+    """``model`` with ``changes`` made to its ``DmapConfig``: inference reads
+    ``mode`` and ``test_max_iter`` from the model it runs."""
+    return replace(model, config=replace(model.config, **changes))
 
 
 def prediction_to_dict(prediction, mode):

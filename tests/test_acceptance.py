@@ -38,6 +38,7 @@ from dmap.synth import (
     generate,
     noisy_setup,
 )
+from oracles import with_config
 
 
 def _verdict(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> None:
@@ -212,7 +213,8 @@ def test_criterion_05_transductive_gain_direction():
         acc_i = evaluate(
             infer_inductive(model, ds.test_features, K_u), ds.test_labels
         ).mean_per_class_accuracy
-        pred_t2, _ = infer_transductive(model, ds.test_features, K_u, iterations=2)
+        pred_t2, _ = infer_transductive(with_config(model, test_max_iter=2),
+                                        ds.test_features, K_u)
         acc_t2 = evaluate(pred_t2, ds.test_labels).mean_per_class_accuracy
         gains.append(acc_t2 - acc_i)
         wins += acc_t2 >= acc_i
@@ -236,7 +238,8 @@ def test_criterion_06_prototype_iteration_converges():
         model = train(ds.train, run_cfg)
         K_u = ds.embeddings.subset(ds.split.unseen)
         protos = [
-            infer_transductive(model, ds.test_features, K_u, iterations=i)[1].data
+            infer_transductive(with_config(model, test_max_iter=i), ds.test_features,
+                               K_u)[1].data
             for i in (1, 2, 3)
         ]
         c12 = np.linalg.norm(protos[1] - protos[0]) / np.linalg.norm(protos[0])
@@ -264,7 +267,7 @@ def test_criterion_07_generalized_candidates_degrade_unseen_accuracy():
             infer_inductive(model, ds.test_features, K_u), ds.test_labels
         ).mean_per_class_accuracy
         acc_g = evaluate(
-            infer_inductive(model, ds.test_features, K_u, K_s, mode="gzsr"),
+            infer_inductive(with_config(model, mode="gzsr"), ds.test_features, K_u, K_s),
             ds.test_labels, mode="gzsr",
         ).mean_per_class_accuracy
         degraded += acc_g < acc_c
@@ -367,7 +370,7 @@ def test_criterion_10_real_data_reproduction():
         acc_i = evaluate(
             infer_inductive(model, test_features, K_u), test_labels
         ).mean_per_class_accuracy
-        pred_t2, _ = infer_transductive(model, test_features, K_u, iterations=2)
+        pred_t2, _ = infer_transductive(model, test_features, K_u)
         acc_t2 = evaluate(pred_t2, test_labels).mean_per_class_accuracy
         checks.append((f"awa inductive {acc_i:.4f} in 0.7871+/-0.02",
                        abs(acc_i - 0.7871) <= 0.02))

@@ -173,6 +173,16 @@ class TestClassMeanPrototypes:
         with pytest.raises(MissingClass):
             class_mean_prototypes(X, ("a", "a"), ("a", "b"))
 
+    @pytest.mark.parametrize("X", [np.ones(4), np.ones((1, 4, 1)), np.float64(1.0),
+                                   np.ones((0, 4))])
+    def test_non_matrix_or_rowless_features_rejected(self, X):
+        with pytest.raises(ValidationError, match="each must be a non-empty 2-D matrix"):
+            class_mean_prototypes(X, ("a", "b", "a", "b"), ("a", "b"))
+
+    def test_features_without_columns_rejected(self):
+        with pytest.raises(MissingClass, match="has no instances"):
+            class_mean_prototypes(np.ones((3, 0)), (), ("a", "b"))
+
     @given(st.integers(1, 5), st.integers(2, 4), st.data())
     def test_matches_per_class_mean_oracle(self, d, c, data):
         classes = tuple(f"c{i}" for i in range(c))

@@ -29,6 +29,7 @@ from dmap.model import (
     GZSR,
     TRAINED_FIELDS,
     DmapConfig,
+    _prepare_features,
     _refine_prototypes,
     knn_prototype,
     infer_inductive,
@@ -37,6 +38,7 @@ from dmap.model import (
     transductive_rounds,
 )
 from dmap.synth import defect_setup, exact_recovery_setup, generate, noisy_setup
+from oracles import with_config
 
 
 def stable_argsort_prototype(anchor, predictions, features, m):
@@ -74,6 +76,20 @@ def noisy_world():
     data = generate(synth_cfg)
     model = train(data.train, run_cfg)
     return data, model
+
+
+@pytest.fixture(scope="module")
+def centred_exact_model(exact_world):
+    """``exact_world``'s model trained again with ``center=True``."""
+    data, model = exact_world
+    return train(data.train, replace(model.config, center=True))
+
+
+@pytest.fixture(scope="module")
+def centred_noisy_model(noisy_world):
+    """``noisy_world``'s model trained again with ``center=True``."""
+    data, model = noisy_world
+    return train(data.train, replace(model.config, center=True))
 
 
 class TestConfigValidation:
@@ -212,6 +228,30 @@ class TestKnnPrototype:
         with pytest.raises(ValidationError, match="no instances"):
             knn_prototype(np.zeros(2), np.zeros((2, 0)), np.zeros((5, 0)), m=1)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2", None, True])
+    def test_non_integral_m_rejected(self, m):
+        with pytest.raises(ValidationError, match="^m must be an integer"):
+            knn_prototype(np.zeros(2), np.zeros((2, 4)), np.zeros((5, 4)), m)
+        with pytest.raises(ValidationError, match="^m must be an integer"):
+            _refine_prototypes(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((5, 4)), m)
+
+    @pytest.mark.parametrize("m", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_m_accepted(self, m):
+        predictions = np.array([[0.0, 1.0, 3.0, 7.0]])
+        features = np.array([[0.0, 10.0, 100.0, 1000.0]])
+        assert np.array_equal(knn_prototype(np.array([0.9]), predictions, features, m),
+                              knn_prototype(np.array([0.9]), predictions, features, 2))
+
+    @pytest.mark.parametrize("predictions, features", [
+        (np.zeros(4), np.zeros((5, 4))),
+        (np.zeros((1, 4)), np.zeros(4)),
+        (np.zeros((1, 1, 4)), np.zeros((5, 4))),
+        (np.float64(1.0), np.zeros((5, 1))),
+    ])
+    def test_non_matrix_inputs_rejected(self, predictions, features):
+        with pytest.raises(ValidationError, match="each must be a non-empty 2-D matrix"):
+            knn_prototype(np.zeros(1), predictions, features, 1)
+
 
 class TestTrain:
     def test_shapes_and_metadata(self, exact_world):
@@ -240,33 +280,33 @@ class TestTrain:
         assert model.train_iterations_run < model.config.train_max_iter
 
     def test_zero_refinement_iterations_keep_initial_prototypes(self):
-        synth_cfg, run_cfg = exact_recovery_setup(seed=1)
-        from dataclasses import replace
-
-        run_cfg = replace(run_cfg, train_max_iter=0)
-        data = generate(synth_cfg)
-        model = train(data.train, run_cfg)
-        assert model.train_iterations_run == 0
-
-        # Reproduce the initial prototype construction by hand and check
-        # the second path was fit against exactly those prototypes.
         from dmap.core import build_label_matrix
 
-        X = data.train.features.data
+        synth_cfg, run_cfg = exact_recovery_setup(seed=1)
+        data = generate(synth_cfg)
         K_seen = data.train.semantic.subset(data.split.seen).data
         Y = build_label_matrix(data.train.labels, data.split.seen)
-        f_s = solve_ridge_map(X, K_seen, Y, run_cfg.gamma, run_cfg.eta)
-        preds = predict_semantic(f_s, X)
-        k_tilde = np.stack(
-            [
-                knn_prototype(K_seen[:, i], preds, X, run_cfg.m)
-                for i in range(K_seen.shape[1])
-            ],
-            axis=1,
-        )
-        assert np.array_equal(model.k_tilde_s.data, k_tilde)
-        expected = solve_ridge_map(X, k_tilde, Y, run_cfg.gamma, run_cfg.eta)
-        assert np.array_equal(model.f_tilde, expected)
+        for center in (False, True):
+            config = replace(run_cfg, train_max_iter=0, center=center)
+            model = train(data.train, config)
+            assert model.train_iterations_run == 0
+
+            # Reproduce the initial prototype construction by hand, on the
+            # features prepared as training prepares them, and check the
+            # second path was fit against exactly those prototypes.
+            X, _ = _prepare_features(data.train.features.data, config, None)
+            f_s = solve_ridge_map(X, K_seen, Y, config.gamma, config.eta)
+            preds = predict_semantic(f_s, X)
+            k_tilde = np.stack(
+                [
+                    knn_prototype(K_seen[:, i], preds, X, config.m)
+                    for i in range(K_seen.shape[1])
+                ],
+                axis=1,
+            )
+            assert np.array_equal(model.k_tilde_s.data, k_tilde)
+            expected = solve_ridge_map(X, k_tilde, Y, config.gamma, config.eta)
+            assert np.array_equal(model.f_tilde, expected)
 
     def test_training_is_deterministic(self):
         synth_cfg, run_cfg = exact_recovery_setup(seed=2)
@@ -341,8 +381,9 @@ def test_normalize_equals_normalising_the_inputs_beforehand(noisy_world):
         K_u, K_s = K.subset(data.split.unseen), K.subset(data.split.seen)
         outputs = [model.f_s, model.f_tilde, model.k_tilde_s.data]
         for mode in (CZSR, GZSR):
-            outputs.append(infer_inductive(model, X, K_u, K_s, mode).score_matrix)
-            for prediction, prototypes in transductive_rounds(model, X, K_u, mode, 2):
+            moded = with_config(model, mode=mode, test_max_iter=2)
+            outputs.append(infer_inductive(moded, X, K_u, K_s).score_matrix)
+            for prediction, prototypes in transductive_rounds(moded, X, K_u):
                 outputs += [prediction.score_matrix, prototypes.data]
         runs[normalize] = [a.tobytes() for a in outputs]
     assert runs[True] == runs[False]
@@ -357,12 +398,15 @@ class TestInductive:
         assert pred.candidate_ids == data.split.unseen
         assert pred.instance_ids == data.test_features.instance_ids
 
-    def test_score_rule_is_inner_product_with_f_s(self, exact_world):
-        data, model = exact_world
+    def test_score_rule_is_inner_product_with_f_s(self, exact_world, centred_exact_model):
+        data, _ = exact_world
         K_u = data.embeddings.subset(data.split.unseen)
-        pred = infer_inductive(model, data.test_features, K_u)
-        expected = K_u.data.T @ (model.f_s.T @ data.test_features.data)
-        assert np.array_equal(pred.score_matrix, expected)
+        for model in (exact_world[1], centred_exact_model):
+            pred = infer_inductive(model, data.test_features, K_u)
+            X, _ = _prepare_features(data.test_features.data, model.config,
+                                     model.feature_mean)
+            expected = K_u.data.T @ (model.f_s.T @ X)
+            assert np.array_equal(pred.score_matrix, expected)
 
     def test_argmax_tie_prefers_lower_candidate_index(self, exact_world):
         data, model = exact_world
@@ -400,7 +444,7 @@ class TestInductive:
         K_u = data.embeddings.subset(data.split.unseen)
         K_s = data.embeddings.subset(data.split.seen)
         pred = infer_inductive(
-            model, data.test_features, K_u, K_seen=K_s, mode=GZSR
+            with_config(model, mode=GZSR), data.test_features, K_u, K_seen=K_s
         )
         assert pred.candidate_ids == data.split.seen + data.split.unseen
         assert pred.score_matrix.shape[0] == data.config.k + data.config.l
@@ -412,8 +456,8 @@ class TestInductive:
         data, model = noisy_world
         K_u = data.embeddings.subset(data.split.unseen)
         K_s = data.embeddings.subset(data.split.seen)
-        g = infer_inductive(model, data.test_features, K_u, K_seen=K_s, mode=GZSR)
-        c = infer_inductive(model, data.test_features, K_u, mode=CZSR)
+        g = infer_inductive(with_config(model, mode=GZSR), data.test_features, K_u, K_seen=K_s)
+        c = infer_inductive(with_config(model, mode=CZSR), data.test_features, K_u)
         unseen = set(data.split.unseen)
         checked = 0
         for gz, cz in zip(g.predicted_class, c.predicted_class):
@@ -426,13 +470,7 @@ class TestInductive:
         data, model = exact_world
         K_u = data.embeddings.subset(data.split.unseen)
         with pytest.raises(ValidationError):
-            infer_inductive(model, data.test_features, K_u, mode=GZSR)
-
-    def test_unknown_mode_rejected(self, exact_world):
-        data, model = exact_world
-        K_u = data.embeddings.subset(data.split.unseen)
-        with pytest.raises(ValidationError):
-            infer_inductive(model, data.test_features, K_u, mode="all")
+            infer_inductive(with_config(model, mode=GZSR), data.test_features, K_u)
 
     def test_embedding_dimension_mismatch(self, exact_world):
         data, model = exact_world
@@ -465,41 +503,52 @@ class TestTransductive:
         assert protos.data.shape == (data.train.features.d, data.config.l)
         assert pred.candidate_ids == data.split.unseen
 
-    def test_score_rule_uses_second_path_and_prototypes(self, noisy_world):
-        data, model = noisy_world
+    def test_score_rule_uses_second_path_and_prototypes(self, noisy_world,
+                                                        centred_noisy_model):
+        data, _ = noisy_world
         K_u = data.embeddings.subset(data.split.unseen)
-        pred, protos = infer_transductive(model, data.test_features, K_u)
-        expected = protos.data.T @ (model.f_tilde.T @ data.test_features.data)
-        assert np.array_equal(pred.score_matrix, expected)
+        for model in (noisy_world[1], centred_noisy_model):
+            pred, protos = infer_transductive(model, data.test_features, K_u)
+            X, _ = _prepare_features(data.test_features.data, model.config,
+                                     model.feature_mean)
+            expected = protos.data.T @ (model.f_tilde.T @ X)
+            assert np.array_equal(pred.score_matrix, expected)
 
-    def test_first_iteration_anchors_at_given_embeddings(self, noisy_world):
-        # With iterations=1 the prototypes must come straight from the
-        # f_s predictions searched around the raw unseen embeddings.
-        data, model = noisy_world
+    def test_first_iteration_anchors_at_given_embeddings(self, noisy_world,
+                                                         centred_noisy_model):
+        # With one round the prototypes must come straight from the f_s
+        # predictions searched around the raw unseen embeddings.
+        data, _ = noisy_world
         K_u = data.embeddings.subset(data.split.unseen)
-        _, protos = infer_transductive(
-            model, data.test_features, K_u, iterations=1
-        )
-        X = data.test_features.data
-        preds_s = predict_semantic(model.f_s, X)
-        for j, cid in enumerate(data.split.unseen):
-            expected = knn_prototype(
-                K_u.data[:, j], preds_s, X, model.config.m
+        for model in (noisy_world[1], centred_noisy_model):
+            _, protos = infer_transductive(
+                with_config(model, test_max_iter=1), data.test_features, K_u
             )
-            assert np.array_equal(protos.data[:, j], expected)
+            X, _ = _prepare_features(data.test_features.data, model.config,
+                                     model.feature_mean)
+            preds_s = predict_semantic(model.f_s, X)
+            for j, cid in enumerate(data.split.unseen):
+                expected = knn_prototype(
+                    K_u.data[:, j], preds_s, X, model.config.m
+                )
+                assert np.array_equal(protos.data[:, j], expected)
 
-    def test_later_iterations_reanchor_at_prototypes(self, noisy_world):
-        data, model = noisy_world
+    def test_later_iterations_reanchor_at_prototypes(self, noisy_world, centred_noisy_model):
+        data, _ = noisy_world
         K_u = data.embeddings.subset(data.split.unseen)
-        _, p1 = infer_transductive(model, data.test_features, K_u, iterations=1)
-        _, p2 = infer_transductive(model, data.test_features, K_u, iterations=2)
-        X = data.test_features.data
-        preds_t = predict_semantic(model.f_tilde, X)
-        for j in range(data.config.l):
-            expected = knn_prototype(
-                p1.data[:, j], preds_t, X, model.config.m
-            )
-            assert np.array_equal(p2.data[:, j], expected)
+        for model in (noisy_world[1], centred_noisy_model):
+            _, p1 = infer_transductive(with_config(model, test_max_iter=1),
+                                       data.test_features, K_u)
+            _, p2 = infer_transductive(with_config(model, test_max_iter=2),
+                                       data.test_features, K_u)
+            X, _ = _prepare_features(data.test_features.data, model.config,
+                                     model.feature_mean)
+            preds_t = predict_semantic(model.f_tilde, X)
+            for j in range(data.config.l):
+                expected = knn_prototype(
+                    p1.data[:, j], preds_t, X, model.config.m
+                )
+                assert np.array_equal(p2.data[:, j], expected)
 
     def test_exact_world_keeps_perfect_accuracy(self, exact_world):
         data, model = exact_world
@@ -521,7 +570,7 @@ class TestTransductive:
             K_u = data.embeddings.subset(data.split.unseen)
             protos = [
                 infer_transductive(
-                    model, data.test_features, K_u, iterations=i
+                    with_config(model, test_max_iter=i), data.test_features, K_u
                 )[1].data
                 for i in (1, 2, 3)
             ]
@@ -544,16 +593,12 @@ class TestTransductive:
         # global mean of the test features, scores tie across candidates,
         # and the tie-break sends every instance to the first class.
         synth_cfg, run_cfg = exact_recovery_setup(seed=4)
-        from dataclasses import replace
-
         data = generate(synth_cfg)
         n_t = data.test_features.n
-        run_cfg = replace(run_cfg, m=n_t)
+        run_cfg = replace(run_cfg, m=n_t, test_max_iter=1)
         model = train(data.train, run_cfg)
         K_u = data.embeddings.subset(data.split.unseen)
-        pred, protos = infer_transductive(
-            model, data.test_features, K_u, iterations=1
-        )
+        pred, protos = infer_transductive(model, data.test_features, K_u)
         mean = data.test_features.data.mean(axis=1)
         for j in range(protos.data.shape[1]):
             # bit-identical across classes (same selected set, same order)
@@ -567,7 +612,7 @@ class TestTransductive:
         data, model = noisy_world
         K_u = data.embeddings.subset(data.split.unseen)
         pred, _ = infer_transductive(
-            model, data.test_features, K_u, mode=GZSR
+            with_config(model, mode=GZSR), data.test_features, K_u
         )
         assert pred.candidate_ids == data.split.seen + data.split.unseen
 
@@ -575,11 +620,12 @@ class TestTransductive:
     def test_round_t_equals_t_iterations(self, noisy_world, mode):
         data, model = noisy_world
         K_u = data.embeddings.subset(data.split.unseen)
-        rounds = list(transductive_rounds(model, data.test_features, K_u, mode, 3))
+        rounds = list(transductive_rounds(with_config(model, mode=mode, test_max_iter=3),
+                                          data.test_features, K_u))
         assert len(rounds) == 3
         for t, (pred, protos) in enumerate(rounds, start=1):
-            ref, ref_protos = infer_transductive(model, data.test_features, K_u,
-                                                 mode=mode, iterations=t)
+            ref, ref_protos = infer_transductive(
+                with_config(model, mode=mode, test_max_iter=t), data.test_features, K_u)
             assert np.array_equal(pred.score_matrix, ref.score_matrix)
             assert pred.predicted_class == ref.predicted_class
             assert pred.candidate_ids == ref.candidate_ids
@@ -592,29 +638,14 @@ class TestTransductive:
         data, model = noisy_world
         K_u = data.embeddings.subset(data.split.unseen)
         with pytest.raises(ValidationError):
-            infer_transductive(model, data.test_features, K_u, iterations=0)
-
-    @pytest.mark.parametrize("iterations", [0, 1, 3])
-    def test_invalid_mode_refused_before_any_refinement(self, exact_world, monkeypatch,
-                                                        iterations):
-        import dmap.model
-
-        data, model = exact_world
-        refined = []
-        monkeypatch.setattr(dmap.model, "_refine_prototypes",
-                            lambda *args: refined.append(args) or args[0])
-        rounds = transductive_rounds(model, data.test_features,
-                                     data.embeddings.subset(data.split.unseen), "all",
-                                     iterations)
-        with pytest.raises(ValidationError, match="mode must be"):
-            list(rounds)
-        assert refined == []
+            infer_transductive(with_config(model, test_max_iter=0), data.test_features, K_u)
 
 
 def _infer(kind, model, X, K_u, K_s=None):
     if kind == "inductive":
-        return infer_inductive(model, X, K_u, K_s, mode=None if K_s is None else GZSR)
-    return infer_transductive(model, X, K_u, iterations=1)
+        return infer_inductive(model if K_s is None else with_config(model, mode=GZSR),
+                               X, K_u, K_s)
+    return infer_transductive(with_config(model, test_max_iter=1), X, K_u)
 
 
 #: The error and the start of its message for each malformed plain-array input.
@@ -668,7 +699,8 @@ def test_domain_type_inputs_are_not_scanned_again(exact_world, monkeypatch):
     monkeypatch.setattr(dmap.model, "_require_finite", lambda a, what: scanned.append(what))
     K_u = data.embeddings.subset(data.split.unseen)
     _infer("inductive", model, data.test_features, K_u, data.embeddings.subset(data.split.seen))
-    list(transductive_rounds(model, data.test_features, K_u, GZSR, 2))
+    list(transductive_rounds(with_config(model, mode=GZSR, test_max_iter=2),
+                             data.test_features, K_u))
     assert scanned == []
     _infer("inductive", model, data.test_features.data, K_u.data)
     assert scanned == ["unseen embedding matrix", "test feature matrix"]

@@ -53,6 +53,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default="distortion_sweep.csv", help="output CSV path")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     config = DmapConfig(
         m=10, lam=1e-6, gamma=1e-10, eta=1e-10, train_max_iter=2, test_max_iter=2,

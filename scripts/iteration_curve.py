@@ -63,6 +63,8 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=4)
     parser.add_argument("--out", default="iteration_curve.csv", help="output CSV path")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     rows = [row for seed in range(args.seeds) for row in run_seed(seed, args.iterations)]
     with open(args.out, "w", newline="") as handle:

@@ -7,7 +7,10 @@ make unseen classes indistinguishable, and refines class prototypes
 iteratively at training and test time.
 
 Submodules are imported lazily so that the command line can cap BLAS
-thread pools before ``numpy`` first loads.
+thread pools before ``numpy`` first loads.  ``synth.generate`` caps NumPy's
+OpenBLAS at one thread while its SVDs and its QR run, and restores the
+previous count after each; the cap is process-wide, so BLAS calls that
+other Python threads make in that window run on one thread too.
 
 OpenBLAS worker timeout
 -----------------------

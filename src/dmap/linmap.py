@@ -55,8 +55,10 @@ SciPy's bytes.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -67,20 +69,33 @@ from .errors import DimensionMismatch, SingularSystem, ValidationError
 #: Gram matrices with estimated condition above this are refused.
 COND_LIMIT = 1e12
 
+#: Held by :func:`_one_blas_thread` from reading the thread count to
+#: restoring it, so that two Python threads cannot restore each other's cap.
+_THREAD_COUNT_LOCK = threading.Lock()
+
 
 @functools.cache
-def _openblas_dposv():
-    """LAPACK ``dposv`` of the OpenBLAS that NumPy's wheel bundles, built with
-    64-bit integer arguments, or ``None`` when ``numpy.libs`` does not hold
-    exactly one such library or it lacks the routine.  NumPy has already
-    mapped the library, so this adds no second copy to the process."""
+def _numpy_openblas():
+    """The OpenBLAS that NumPy's wheel bundles, built with 64-bit integer
+    arguments, as a ``ctypes`` library, or ``None`` when ``numpy.libs`` does
+    not hold exactly one such library.  NumPy has already mapped the
+    library, so this adds no second copy to the process."""
     libs = list((Path(np.__file__).parent.parent / "numpy.libs")
                 .glob("libscipy_openblas64_-*.so"))
     if len(libs) != 1:
         return None
     try:
-        posv = ctypes.CDLL(str(libs[0])).scipy_dposv_64_
-    except (OSError, AttributeError):
+        return ctypes.CDLL(str(libs[0]))
+    except OSError:
+        return None
+
+
+@functools.cache
+def _openblas_dposv():
+    """LAPACK ``dposv`` of :func:`_numpy_openblas`, or ``None`` when that
+    library is missing or lacks the routine."""
+    posv = getattr(_numpy_openblas(), "scipy_dposv_64_", None)
+    if posv is None:
         return None
     # Fortran calling convention: every argument by reference, then the
     # hidden length of the character argument UPLO.
@@ -88,6 +103,28 @@ def _openblas_dposv():
     posv.argtypes = [ctypes.c_char_p, num, num, buf, num, buf, num, num, ctypes.c_size_t]
     posv.restype = None
     return posv
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Cap :func:`_numpy_openblas` at one thread inside the block, then
+    restore the count it had.  The cap is process-wide: BLAS calls that
+    other Python threads make meanwhile run on one thread too, and their
+    own capped blocks wait for this one.  Where the library or its thread
+    routines are missing, the block runs as it is."""
+    lib = _numpy_openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_threads is None:
+        yield
+        return
+    with _THREAD_COUNT_LOCK:
+        previous = get()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(previous)
 
 
 def _spd_solve(A: np.ndarray, b: np.ndarray, failure: str) -> np.ndarray:

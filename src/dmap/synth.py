@@ -31,8 +31,13 @@ Reproducibility
 ---------------
 All randomness flows single-pass from a PCG64 stream; Gaussians use an
 explicit Box-Muller transform on PCG64 uniforms (documented and portable
-rather than platform-native), so byte-identical datasets follow from
-equal seeds.
+rather than platform-native), so equal seeds give byte-identical datasets
+at an equal BLAS thread count.  Across thread counts they need not: the
+threaded products of the spreading loop (``U @ Vt``, ``K @ K.T``) round
+differently at 1 and 2 threads once there are ``k = 300`` seen classes.
+The spreading SVD and the QR of ``M`` run on one OpenBLAS thread
+(``linmap._one_blas_thread``), which is about twice as fast at these sizes
+and, at every bench and preset shape, gives the threaded call's bytes.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .core import (
     default_instance_ids,
 )
 from .errors import InfeasibleConfig, ValidationError
+from .linmap import _one_blas_thread
 from .model import DmapConfig
 
 #: Alternating-projection iteration cap and exit tolerance for spreading
@@ -181,7 +187,8 @@ def _spread_unit_columns(raw: np.ndarray, balanced: bool) -> np.ndarray:
     for _ in range(_SPREAD_ROUNDS):
         if balanced:
             K = K - K.mean(axis=1, keepdims=True)
-        U, _, Vt = np.linalg.svd(K, full_matrices=False)
+        with _one_blas_thread():
+            U, _, Vt = np.linalg.svd(K, full_matrices=False)
         K = U @ Vt
         if c > p:
             K = K * np.sqrt(c / p)
@@ -198,7 +205,8 @@ def _spread_unit_columns(raw: np.ndarray, balanced: bool) -> np.ndarray:
 
 def _orthonormal_map(rng: PortableRng, d: int, p: int) -> np.ndarray:
     """Random ``d x p`` matrix with orthonormal columns (sign-fixed QR)."""
-    Q, R = np.linalg.qr(rng.normal(d, p))
+    with _one_blas_thread():
+        Q, R = np.linalg.qr(rng.normal(d, p))
     return Q * np.sign(np.diag(R))
 
 

@@ -939,7 +939,8 @@ def test_threads_are_set_before_numpy_loads(tmp_path):
     # A finder first on sys.meta_path sees the first import of numpy, which
     # loads its OpenBLAS, and a ctypes.CDLL subclass sees each OpenBLAS that
     # dmap opens itself; each records the settings that OpenBLAS would read
-    # at that moment.  The solves open NumPy's own library, already loaded.
+    # at that moment.  The solves and synth's one-thread cap open NumPy's own
+    # library, already loaded.
     probe = ("import ctypes, os, runpy, sys\n"
              "def settings(what):\n"
              "    print(what, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
@@ -962,7 +963,7 @@ def test_threads_are_set_before_numpy_loads(tmp_path):
                              str(cfg), "--out-dir", str(tmp_path / "data")],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines() == ["numpy 1 4"]
+    assert result.stderr.splitlines() == ["numpy 1 4", "libscipy_openblas64_ 1 4"]
     result = subprocess.run([sys.executable, "-c", probe, "--threads", "1", "pipeline",
                              "--data-dir", str(tmp_path / "data"), "--out-dir",
                              str(tmp_path / "out"), "--m", "2", "--gamma", "1", "--eta", "1"],

@@ -42,6 +42,15 @@ def test_sweep_writes_its_csv(tmp_path, name, columns):
     assert {row["seed"] for row in rows} == {"0", "1"}
 
 
+@pytest.mark.parametrize("name", ["iteration_curve.py", "distortion_sweep.py"])
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_sweep_refuses_fewer_than_one_seed(tmp_path, name, seeds):
+    result = run_script(name, tmp_path, "--seeds", seeds)
+    assert result.returncode == 2
+    assert "--seeds must be at least 1" in result.stderr
+    assert not (tmp_path / name.replace(".py", ".csv")).exists()
+
+
 def test_readme_quick_start_runs(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Quick start (Python)\n", 1)[1]

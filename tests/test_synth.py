@@ -1,12 +1,18 @@
 """Tests for the synthetic dataset generator: determinism, the structural
-guarantees of each construction knob, and the portable random stream.
+guarantees of each construction knob, the portable random stream, and the
+one-thread cap around its SVD and QR.
 """
+
+import contextlib
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dmap import linmap, synth
 from dmap.consistency import consistency_report, preinspect
 from dmap.core import class_mean_prototypes
 from dmap.errors import InfeasibleConfig, ValidationError
@@ -18,6 +24,7 @@ from dmap.synth import (
     generate,
     noisy_setup,
 )
+from oracles import numpy_openblas
 
 
 def dataset_cm_and_gap(ds, lam):
@@ -333,3 +340,114 @@ def test_generate_never_produces_nonfinite_values(seed):
     assert np.all(np.isfinite(ds.train.features.data))
     assert np.all(np.isfinite(ds.test_features.data))
     assert np.all(np.isfinite(ds.embeddings.data))
+
+
+# --- one OpenBLAS thread for the SVD and the QR --------------------------------
+
+#: The benchmark worlds' shapes, copied from ``perfbench/workloads.py``.
+BENCH_SHAPES = {
+    "cub-cli": dict(d=256, p=160, k=150, l=50, n_per_class=10, noise_sigma=0.05,
+                    irc_distortion=0.2),
+    "awa-api": dict(d=768, p=85, k=40, l=10, n_per_class=40, noise_sigma=0.05,
+                    irc_distortion=0.2),
+    "many-gzsr": dict(d=160, p=150, k=300, l=75, n_per_class=3, noise_sigma=0.05,
+                      irc_distortion=0.2),
+}
+
+
+def world_bytes(ds):
+    return [a.tobytes() for a in (ds.train.features.data, ds.test_features.data,
+                                  ds.embeddings.data)]
+
+
+def blas_threads():
+    """The thread count of NumPy's OpenBLAS, read through the library itself."""
+    return numpy_openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def threaded_blas():
+    """NumPy's OpenBLAS at two threads for the test, so that the cap has a
+    count to lower and to restore on any machine; the count it had comes
+    back after."""
+    lib = numpy_openblas()
+    if lib is None:
+        pytest.skip("dmap does not call NumPy's bundled OpenBLAS here")
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield 2
+    lib.scipy_openblas_set_num_threads64_(previous)
+
+
+@pytest.fixture
+def threads_in_linalg(monkeypatch):
+    """The thread count seen by every ``np.linalg.svd`` and ``np.linalg.qr`` call."""
+    seen = []
+    for name in ("svd", "qr"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _routine=routine, **kwargs:
+                            seen.append(blas_threads()) or _routine(*args, **kwargs))
+    return seen
+
+
+@pytest.mark.parametrize("config", [
+    *(SynthConfig(**shape, seed=seed) for shape in BENCH_SHAPES.values() for seed in range(3)),
+    *(preset(0)[0] for preset in (exact_recovery_setup, noisy_setup, defect_setup)),
+], ids=lambda config: f"d{config.d}-p{config.p}-k{config.k}-seed{config.seed}")
+def test_one_thread_svd_and_qr_keep_every_byte(monkeypatch, threaded_blas, config):
+    capped = world_bytes(generate(config))
+    monkeypatch.setattr(synth, "_one_blas_thread", contextlib.nullcontext)
+    assert world_bytes(generate(config)) == capped
+
+
+def test_svd_and_qr_run_on_one_thread_and_the_count_comes_back(threaded_blas,
+                                                               threads_in_linalg):
+    generate(SynthConfig(**BENCH_SHAPES["many-gzsr"], seed=0))
+    assert len(threads_in_linalg) > 2 and set(threads_in_linalg) == {1}
+    assert blas_threads() == threaded_blas
+
+
+def test_the_count_comes_back_after_an_exception_in_the_block(threaded_blas):
+    with pytest.raises(RuntimeError, match="inside"):
+        with linmap._one_blas_thread():
+            assert blas_threads() == 1
+            raise RuntimeError("inside")
+    assert blas_threads() == threaded_blas
+
+
+def test_a_second_thread_cannot_restore_the_first_ones_cap(threaded_blas):
+    # Unserialised, the second block would read the first one's cap of 1 and
+    # put it back after the first had restored the old count.
+    first_in, first_out, release = threading.Event(), threading.Event(), threading.Event()
+
+    def first():
+        with linmap._one_blas_thread():
+            first_in.set()
+            release.wait(timeout=10)
+        first_out.set()
+
+    def second():
+        first_in.wait(timeout=10)
+        with linmap._one_blas_thread():
+            first_out.wait(timeout=10)
+
+    workers = [threading.Thread(target=first), threading.Thread(target=second)]
+    for worker in workers:
+        worker.start()
+    first_in.wait(timeout=10)
+    time.sleep(0.2)
+    release.set()
+    for worker in workers:
+        worker.join(timeout=30)
+    assert not any(worker.is_alive() for worker in workers)
+    assert blas_threads() == threaded_blas
+
+
+def test_without_the_library_generate_runs_uncapped_with_the_same_bytes(
+        monkeypatch, threaded_blas, threads_in_linalg):
+    config = SynthConfig(**BENCH_SHAPES["cub-cli"], seed=1)
+    capped = world_bytes(generate(config))
+    threads_in_linalg.clear()
+    monkeypatch.setattr(linmap, "_numpy_openblas", lambda: None)
+    assert world_bytes(generate(config)) == capped
+    assert threads_in_linalg and set(threads_in_linalg) == {threaded_blas}

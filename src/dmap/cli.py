@@ -88,10 +88,12 @@ def _ensure_parent(path) -> None:
 
 
 def _add_config_flags(sub, config_fields) -> None:
-    """``--config`` and one flag per ``DmapConfig`` field, as its metadata says."""
+    """``--config`` and one flag per ``DmapConfig`` field, as its metadata
+    says; a bool field gets a ``--no-`` form too.  A flag not given is
+    ``None``, so the config file or the model's value applies."""
     sub.add_argument("--config", help="run-config JSON file")
     for field in config_fields:
-        kind = ({"action": "store_const", "const": True} if field.type == "bool" else
+        kind = ({"action": argparse.BooleanOptionalAction} if field.type == "bool" else
                 {"type": {"int": int, "float": float, "str": str}[field.type],
                  "choices": field.metadata.get("choices")})
         sub.add_argument("--" + field.metadata.get("key", field.name).replace("_", "-"),

@@ -36,6 +36,10 @@ messages and the solutions are the same either way (see
 The feature side ``T = (X X^T + gamma I)^-1 X Y`` depends only on ``X``,
 ``Y`` and ``gamma``, so fits that differ only in ``K`` (the rounds of the
 dual-path training) compute it once with :func:`ridge_feature_side`.
+Every such map is ``V = T E`` (``E`` the ``k x p`` embedding side), so its
+columns lie in span(T), a ``k``-dimensional space: ``dmap.model.train``
+reads their predictions ``V^T X`` as ``(Q^T V)^T (Q^T X)``, with ``Q`` the
+reduced QR factor of ``T``, wherever that takes fewer flops.
 
 Each solve, the relationship solves of :mod:`dmap.consistency` included,
 is one call of LAPACK ``dposv`` (``dpotrf``, then ``dpotrs`` on the factor)
@@ -71,7 +75,8 @@ COND_LIMIT = 1e12
 
 #: Held by :func:`_one_blas_thread` from reading the thread count to
 #: restoring it, so that two Python threads cannot restore each other's cap.
-_THREAD_COUNT_LOCK = threading.Lock()
+#: Re-entrant, so that a cap nested in another on the same thread returns.
+_THREAD_COUNT_LOCK = threading.RLock()
 
 
 @functools.cache
@@ -110,8 +115,10 @@ def _one_blas_thread():
     """Cap :func:`_numpy_openblas` at one thread inside the block, then
     restore the count it had.  The cap is process-wide: BLAS calls that
     other Python threads make meanwhile run on one thread too, and their
-    own capped blocks wait for this one.  Where the library or its thread
-    routines are missing, the block runs as it is."""
+    own capped blocks wait for this one.  A block nested in a capped block
+    of the same thread enters at once and restores the outer cap.  Where
+    the library or its thread routines are missing, the block runs as it
+    is."""
     lib = _numpy_openblas()
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)

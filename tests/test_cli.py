@@ -340,9 +340,16 @@ class TestPredictOverrides:
         assert main(predict_argv(plain_model, exact_data_dir, plain)) == 0
         assert main(predict_argv(plain_model, exact_data_dir, same) + [
             "--config", str(run_cfg), "--gamma", "1e-10", "--eta", "1e-10",
-            "--train-max-iter", "2",
+            "--train-max-iter", "2", "--no-center", "--no-normalize",
         ]) == 0
         assert plain.read_bytes() == same.read_bytes()
+
+    def test_no_center_on_a_centred_model_exits_2(self, centred_model, exact_data_dir,
+                                                  tmp_path, capsys):
+        out = tmp_path / "pred.json"
+        assert main(predict_argv(centred_model, exact_data_dir, out) + ["--no-center"]) == 2
+        assert one_json_error(capsys) == "ValidationError"
+        assert not out.exists()
 
     def test_config_file_overlays_the_stored_config(self, centred_model, exact_data_dir,
                                                     tmp_path):
@@ -979,7 +986,28 @@ def test_one_flag_per_config_field_named_from_its_key(command):
     actions = subparsers.choices[command]._actions
     for field in fields(DmapConfig):
         flags = [action.option_strings for action in actions if action.dest == field.name]
-        assert flags == [["--" + field.metadata.get("key", field.name).replace("_", "-")]]
+        flag = field.metadata.get("key", field.name).replace("_", "-")
+        # A bool field's flag has a --no- form, so either value can be given.
+        assert flags == [["--" + flag, "--no-" + flag] if field.type == "bool"
+                         else ["--" + flag]]
+
+
+@pytest.mark.parametrize("flag", ["--no-center", "--no-normalize"])
+def test_a_no_flag_trains_the_bytes_of_no_flag(exact_data_dir, tmp_path, flag):
+    plain = train_model(exact_data_dir, tmp_path / "plain")
+    off = train_model(exact_data_dir, tmp_path / "off", flag)
+    files = sorted(path.name for path in plain.iterdir())
+    assert files == sorted(path.name for path in off.iterdir())
+    assert all((plain / name).read_bytes() == (off / name).read_bytes() for name in files)
+
+
+def test_a_no_flag_overrides_the_config_file(exact_data_dir, tmp_path):
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps({"center": True}))
+    plain = train_model(exact_data_dir, tmp_path / "plain")
+    off = train_model(exact_data_dir, tmp_path / "off", "--config", str(run_cfg), "--no-center")
+    assert json.loads((off / "model.json").read_text()) == json.loads(
+        (plain / "model.json").read_text())
 
 
 # --- OpenBLAS worker timeout ---------------------------------------------------

@@ -34,21 +34,35 @@ def not_traced_already():
         pytest.skip("tracemalloc is already tracing this process")
 
 
-def test_train_holds_one_prediction_array_and_two_maps():
-    # d > k, so each second-path map is d x d and its predictions d x n;
-    # d < n, so the feature side solves the d x d Gram.
-    d, p, k, npc = 300, 20, 10, 60
-    n = k * npc
-    world = generate(SynthConfig(d=d, p=p, k=k, l=3, n_per_class=npc,
+# d > k, so each second-path map is d x d and its predictions d x n;
+# d < n, so the feature side solves the d x d Gram.
+D, P, K, NPC = 300, 20, 10, 60
+N = K * NPC
+
+
+def train_peak():
+    """Peak of ``train`` with two refinement rounds on a world of that shape."""
+    world = generate(SynthConfig(d=D, p=P, k=K, l=3, n_per_class=NPC,
                                  noise_sigma=0.05, irc_distortion=0.2, seed=1))
     config = DmapConfig(m=10, gamma=1.0, eta=1.0, train_max_iter=2)
     train(world.train, config)  # first calls allocate caches of their own
     model, peak = peak_bytes(train, world.train, config)
     assert model.train_iterations_run == 2
+    return peak
+
+
+def test_train_holds_one_prediction_array_and_two_maps():
     # Slack: the arrays that scale with p or k, not with d x n or d x d (the
     # first path's map and predictions, the feature side, labels, keys).
-    slack = 8 * (d * p + p * n + 4 * k * n + 4 * d * k)
-    assert peak <= 8 * (d * n + 2 * d * d) + slack
+    slack = 8 * (D * P + P * N + 4 * K * N + 4 * D * K)
+    assert train_peak() <= 8 * (D * N + 2 * D * D) + slack
+
+
+def test_a_training_round_drops_its_map_before_its_predictions_form():
+    # k (d + n) < d n, so training predicts from the k-dimensional
+    # coordinates of span(T): a round's d x d map is gone before its d x n
+    # predictions are allocated, with room left for the small arrays.
+    assert train_peak() <= 8 * (D * N + D * D)
 
 
 def test_normal_holds_one_and_a_half_outputs():

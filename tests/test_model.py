@@ -23,7 +23,7 @@ from dmap.core import (
     l2_normalize_columns,
 )
 from dmap.errors import DimensionMismatch, EmptyTestSet, NumericalError, ValidationError
-from dmap.linmap import predict_semantic, solve_ridge_map
+from dmap.linmap import predict_semantic, ridge_feature_side, solve_ridge_map
 from dmap.model import (
     CZSR,
     GZSR,
@@ -31,13 +31,14 @@ from dmap.model import (
     DmapConfig,
     _prepare_features,
     _refine_prototypes,
+    _span_projection,
     knn_prototype,
     infer_inductive,
     infer_transductive,
     train,
     transductive_rounds,
 )
-from dmap.synth import defect_setup, exact_recovery_setup, generate, noisy_setup
+from dmap.synth import SynthConfig, defect_setup, exact_recovery_setup, generate, noisy_setup
 from oracles import with_config
 
 
@@ -362,6 +363,72 @@ class TestTrain:
         assert len(solved) == 1
         assert len(passed) == 2 + iterations
         assert all(T is solved[0] for T in passed)
+
+
+#: The awa-api and cub-cli shapes of perfbench/workloads.py, with the ``m``
+#: of their jobs; training projects its predictions at both.
+PROJECTED_SHAPES = {
+    "awa-api": (dict(d=768, p=85, k=40, l=10, n_per_class=40, noise_sigma=0.05,
+                     irc_distortion=0.2), 20),
+    "cub-cli": (dict(d=256, p=160, k=150, l=50, n_per_class=10, noise_sigma=0.05,
+                     irc_distortion=0.2), 10),
+}
+
+
+class TestSpanProjection:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", sorted(PROJECTED_SHAPES))
+    def test_training_keeps_the_bytes_of_dense_predictions(self, monkeypatch, shape, seed):
+        import dmap.model
+
+        synth_shape, m = PROJECTED_SHAPES[shape]
+        data = generate(SynthConfig(**synth_shape, seed=seed))
+        projected = []
+
+        def recording(T, X):
+            project, W = _span_projection(T, X)
+            projected.append(W.shape)
+            return project, W
+
+        for center in (False, True):
+            config = DmapConfig(m=m, gamma=1.0, eta=1.0, train_max_iter=2, center=center)
+            monkeypatch.setattr(dmap.model, "_span_projection", recording)
+            model = train(data.train, config)
+            monkeypatch.setattr(dmap.model, "_span_projection", lambda T, X: ((lambda V: V), X))
+            dense = train(data.train, config)
+            assert projected.pop() == (synth_shape["k"], data.train.features.n)
+            for name in ("f_s", "f_tilde"):
+                assert getattr(model, name).tobytes() == getattr(dense, name).tobytes()
+            assert model.k_tilde_s.data.tobytes() == dense.k_tilde_s.data.tobytes()
+            assert model.train_iterations_run == dense.train_iterations_run
+
+    @pytest.mark.parametrize("d, n", [(60, 90), (90, 60)])
+    @pytest.mark.parametrize("p", [5, 40])  # p <= k and p > k: both embedding sides
+    def test_projected_predictions_are_the_maps_predictions(self, d, n, p):
+        rng = np.random.default_rng(d + p)
+        k = 8
+        X = rng.normal(size=(d, n))
+        Y = np.where(np.arange(n)[:, None] % k == np.arange(k), 1.0, -1.0)
+        T = ridge_feature_side(X, Y, 1.0)
+        V = solve_ridge_map(X, rng.normal(size=(p, k)), Y, 1.0, 1.0, feature_side=T)
+        project, W = _span_projection(T, X)
+        assert W.shape == (k, n) and project(V).shape == (k, p)
+        want = predict_semantic(V, X)
+        got = predict_semantic(project(V), W)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("d, n, k, projects", [
+        (4, 4, 2, False),         # k (d + n) == d n
+        (5, 4, 2, True),          # 18 < 20
+        (160, 900, 300, False),   # many-gzsr: k > d
+        (768, 1600, 40, True),    # awa-api
+    ])
+    def test_dense_form_unless_projection_saves_flops(self, d, n, k, projects):
+        rng = np.random.default_rng(d)
+        T, X, V = rng.normal(size=(d, k)), rng.normal(size=(d, n)), rng.normal(size=(d, 3))
+        project, W = _span_projection(T, X)
+        assert (W is not X) is projects
+        assert (project(V) is not V) is projects
 
 
 def test_normalize_equals_normalising_the_inputs_beforehand(noisy_world):

@@ -443,6 +443,28 @@ def test_a_second_thread_cannot_restore_the_first_ones_cap(threaded_blas):
     assert blas_threads() == threaded_blas
 
 
+def test_a_nested_cap_returns_and_restores_each_count(threaded_blas):
+    counts = []
+
+    def nested():
+        with linmap._one_blas_thread():
+            with linmap._one_blas_thread():
+                counts.append(blas_threads())
+            counts.append(blas_threads())
+        counts.append(blas_threads())
+
+    # In a daemon thread, so that a cap waiting for its own lock fails the
+    # test instead of hanging the suite.
+    worker = threading.Thread(target=nested, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    if worker.is_alive():
+        # The stuck thread holds the lock; later caps take a new one.
+        linmap._THREAD_COUNT_LOCK = threading.RLock()
+        pytest.fail("a cap nested in another on the same thread never returned")
+    assert counts == [1, 1, threaded_blas]
+
+
 def test_without_the_library_generate_runs_uncapped_with_the_same_bytes(
         monkeypatch, threaded_blas, threads_in_linalg):
     config = SynthConfig(**BENCH_SHAPES["cub-cli"], seed=1)

@@ -149,7 +149,6 @@ def _cmd_predict(args) -> int:
     from dataclasses import replace
 
     from . import io as dio
-    from .core import FeatureMatrix, default_instance_ids
     from .errors import ValidationError
     from .model import TRAINED_FIELDS, infer_inductive, infer_transductive
 
@@ -163,8 +162,7 @@ def _cmd_predict(args) -> int:
     model = replace(model, config=replace(model.config, **values))
     split = dio.load_split(args.split)
     embeddings = dio.load_embeddings(args.embeddings, split)
-    X = dio.load_matrix(args.test_features)
-    test = FeatureMatrix(X, default_instance_ids(X.shape[1], "te"))
+    test = dio.load_features(args.test_features, "te")
     K_unseen = embeddings.subset(split.unseen)
     K_seen = embeddings.subset(split.seen)
     _ensure_parent(args.out)

@@ -18,7 +18,10 @@ come from :func:`default_instance_ids`, and positional class ids
 unseen/seen arrays) from :func:`default_class_ids`.
 
 All types are immutable after construction (arrays are marked
-read-only), so values can be shared freely across threads.
+read-only), so values can be shared freely across threads.  A container
+copies the array it is given, unless that array and every array its data
+comes from are read-only already (:func:`_freeze`); then it adopts the
+array, which its maker has handed over (:func:`_hand_over`).
 """
 
 from __future__ import annotations
@@ -42,11 +45,37 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Return a float64 C-contiguous read-only copy of ``a``."""
+def _freeze(a) -> np.ndarray:
+    """Return ``a`` as a float64 C-contiguous read-only array.
+
+    An array that already is one (aligned, native byte order) is adopted,
+    not copied, when it and every array in its ``.base`` chain are
+    read-only and the chain ends in an array that owns its data, as
+    :func:`_hand_over` leaves an array.  Anything else is copied, so a
+    caller's writable array, or a view of one, is never shared.
+    """
+    if (type(a) is np.ndarray and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.aligned):
+        root = a
+        while not root.flags.writeable and type(root.base) is np.ndarray:
+            root = root.base
+        if not root.flags.writeable and root.flags.owndata:
+            return a
     out = np.array(a, dtype=np.float64, order="C", copy=True)
     out.setflags(write=False)
     return out
+
+
+def _hand_over(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` and every array in its ``.base`` chain read-only and return
+    ``a``, for :func:`_freeze` to adopt without a copy.  The caller hands
+    ``a`` over: it has just built it and keeps no writable view of its
+    data, since locking a base does not lock the views already taken."""
+    b = a
+    while type(b) is np.ndarray:
+        b.setflags(write=False)
+        b = b.base
+    return a
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -304,7 +333,7 @@ def class_mean_prototypes(features, labels: Sequence, classes: Sequence) -> Embe
         if not mask.any():
             raise MissingClass(f"class {cls!r} has no instances")
         protos[:, i] = X[:, mask].mean(axis=1)
-    return EmbeddingMatrix(protos, classes)
+    return EmbeddingMatrix(_hand_over(protos), classes)
 
 
 def _class_ids(K, prefix: str) -> tuple:

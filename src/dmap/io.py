@@ -38,6 +38,7 @@ from .core import (
     FeatureMatrix,
     LabeledDataset,
     _freeze,
+    _hand_over,
     as_array,
     default_instance_ids,
 )
@@ -138,25 +139,81 @@ def _load_npy(path: Path) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix file, ``.npy`` or text, into a float64 array."""
+    """Read a matrix file, ``.npy`` or text, into a new writable float64 array."""
     path = Path(path)
     if _is_npy(path):
         return _load_npy(path)
-    opener = gzip.open if path.suffix == ".gz" else open
     try:
-        with opener(path, "rt", encoding="utf-8", newline="") as fh:
+        # Lines end at "\n" alone; a "\r" is whitespace.  A text file's
+        # size in bytes bounds its length in characters.
+        if path.suffix != ".gz":
+            with open(path, encoding="utf-8", newline="\n") as fh:
+                return _parse_text(fh, os.fstat(fh.fileno()).st_size)
+        with gzip.open(path, "rt", encoding="utf-8", newline="") as fh:
             text = fh.read()
+        return _parse_text(_text_lines(text), len(text))
     except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
         # A truncated gzip stream ends in EOFError, a corrupted one in
         # zlib.error; neither is an OSError.
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    # The lines of text.split("\n") without a last empty one, walked as
-    # slices of the text one at a time rather than held as a list.
-    if not text:
+
+
+def _text_lines(text: str):
+    """The lines of ``text`` as iterating over a file of it yields them,
+    walked as slices one at a time rather than held as a list."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _parse_text(lines, size: int) -> np.ndarray:
+    """Parse the text matrix format from an iterator over its lines, each
+    ending in "\n" but perhaps the last; ``size`` is at least the text's
+    length.
+
+    Each row is parsed as its line is read, and no other line is held.
+    The errors keep the precedence of a check of the whole text: every
+    line is read before one is raised, so a read error anywhere comes
+    first, then the header, the body's line count, the header's shape
+    against the text's length, and last the first bad row.
+    """
+    first = next(lines, "")
+    if not first:
         raise ParseError("empty matrix file", line=1)
-    body_lines = text.count("\n") - text.endswith("\n")
-    end = text.find("\n")
-    first = text if end < 0 else text[:end]
+    try:
+        rows, cols = _matrix_shape(first.removesuffix("\n"))
+    except ParseError:
+        for _ in lines:  # a read error further on comes first
+            pass
+        raise
+    # Each value takes at least one character, so this bounds the
+    # allocation by the file's own size.
+    out = np.empty((rows, cols)) if rows * cols <= size else None
+    error = None
+    body = 0
+    length = len(first)
+    for line in lines:
+        length += len(line)
+        if out is not None and error is None and body < rows:
+            try:
+                _parse_row(out[body], line, body + 2)
+            except (ParseError, ShapeMismatch) as exc:
+                error = exc
+        body += 1
+    if body != rows:
+        raise ShapeMismatch(f"header declares {rows} rows but body has {body} lines")
+    if rows * cols > length:
+        raise ShapeMismatch(f"header declares {rows}x{cols} values, more than "
+                            f"the file's {length} characters can hold")
+    if error is not None:
+        raise error
+    return out
+
+
+def _matrix_shape(first: str) -> tuple[int, int]:
+    """The ``(rows, cols)`` that the header line ``first`` declares."""
     header = first.split()
     if len(header) != 4 or header[0] != MATRIX_MAGIC or header[1] != MATRIX_VERSION:
         raise ParseError(
@@ -172,47 +229,37 @@ def load_matrix(path) -> np.ndarray:
         raise ParseError("shape in header has too many digits", line=1) from None
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix shape must be positive, got {rows}x{cols}", line=1)
-    if body_lines != rows:
+    return rows, cols
+
+
+def _parse_row(row: np.ndarray, line: str, lineno: int) -> None:
+    """Parse the body line numbered ``lineno`` in the file into ``row``."""
+    tokens = line.split()
+    # Checked before the row assignment, which would broadcast one token.
+    if len(tokens) != row.size:
         raise ShapeMismatch(
-            f"header declares {rows} rows but body has {body_lines} lines"
+            f"row {lineno - 1} has {len(tokens)} values, expected {row.size} (line {lineno})"
         )
-    # Each value takes at least one character, so this bounds the
-    # allocation below by the file's own size.
-    if rows * cols > len(text):
-        raise ShapeMismatch(f"header declares {rows}x{cols} values, more than "
-                            f"the file's {len(text)} characters can hold")
-    out = np.empty((rows, cols))
-    for i in range(rows):
-        start = end + 1
-        end = text.find("\n", start)
-        line = text[start:] if end < 0 else text[start:end]
-        tokens = line.split()
-        # Checked before the row assignment, which would broadcast one token.
-        if len(tokens) != cols:
-            raise ShapeMismatch(
-                f"row {i + 1} has {len(tokens)} values, expected {cols} (line {i + 2})"
-            )
-        if "_" in line or not line.isascii():
-            # float() also reads digit separators and non-ASCII digits.
-            for j, tok in enumerate(tokens):
-                if "_" in tok or not tok.isascii():
-                    raise ParseError(f"bad float {tok!r}", line=i + 2, column=j + 1)
-        try:
-            out[i] = tokens  # NumPy calls float() on each token
-            if np.isfinite(out[i]).all():
-                continue
-        except ValueError:
-            pass
-        # A bad or non-finite token: find it, for its line and column.
+    if "_" in line or not line.isascii():
+        # float() also reads digit separators and non-ASCII digits.
         for j, tok in enumerate(tokens):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(f"bad float {tok!r}", line=i + 2, column=j + 1) from None
-            if not np.isfinite(v):
-                raise ParseError(f"non-finite value {tok!r}", line=i + 2, column=j + 1)
-            out[i, j] = v
-    return out
+            if "_" in tok or not tok.isascii():
+                raise ParseError(f"bad float {tok!r}", line=lineno, column=j + 1)
+    try:
+        row[:] = tokens  # NumPy calls float() on each token
+        if np.isfinite(row).all():
+            return
+    except ValueError:
+        pass
+    # A bad or non-finite token: find it, for its line and column.
+    for j, tok in enumerate(tokens):
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ParseError(f"bad float {tok!r}", line=lineno, column=j + 1) from None
+        if not np.isfinite(v):
+            raise ParseError(f"non-finite value {tok!r}", line=lineno, column=j + 1)
+        row[j] = v
 
 
 def _dump_json(obj, path) -> None:
@@ -461,7 +508,8 @@ def load_model(directory) -> DmapModel:
     if has_mean is not config.center:
         raise ParseError(f"{_MODEL_META} has has_feature_mean {has_mean!r} but config "
                          f"center {config.center!r}: {directory}")
-    f_s, f_tilde, k_tilde = (load_matrix(directory / f"{name}{suffix}")
+    # Handed over, so the model adopts the arrays read instead of copying them.
+    f_s, f_tilde, k_tilde = (_hand_over(load_matrix(directory / f"{name}{suffix}"))
                              for name in ("f_s", "f_tilde", "k_tilde_s"))
     mean = None
     if has_mean:
@@ -521,15 +569,21 @@ def load_embeddings(path, split: ClassSplit) -> EmbeddingMatrix:
             f"{Path(path).name} has {emb.shape[1]} columns but the split lists "
             f"{len(class_ids)} classes"
         )
-    return EmbeddingMatrix(emb, class_ids)
+    return EmbeddingMatrix(_hand_over(emb), class_ids)
+
+
+def load_features(path, prefix: str) -> FeatureMatrix:
+    """Read a feature matrix file, with positional instance ids
+    ``<prefix>000000, ...``; the matrix holds the array read, not a copy."""
+    X = _hand_over(load_matrix(path))
+    return FeatureMatrix(X, default_instance_ids(X.shape[1], prefix))
 
 
 def load_training_set(features_path, labels_path, split_path, embeddings_path) -> LabeledDataset:
     """Read the training side: seen-class features and labels, split, embeddings."""
     split = load_split(split_path)
     embeddings = load_embeddings(embeddings_path, split)
-    X = load_matrix(features_path)
-    features = FeatureMatrix(X, default_instance_ids(X.shape[1], "tr"))
+    features = load_features(features_path, "tr")
     return LabeledDataset(features=features, labels=load_labels(labels_path), split=split,
                           semantic=embeddings)
 
@@ -551,6 +605,5 @@ def load_dataset(directory) -> tuple[LabeledDataset, FeatureMatrix, tuple, Embed
     train = load_training_set(_dataset_matrix(directory, "train_features"),
                               directory / "train_labels.json", directory / "split.json",
                               _dataset_matrix(directory, "embeddings"))
-    test_X = load_matrix(_dataset_matrix(directory, "test_features"))
-    test = FeatureMatrix(test_X, default_instance_ids(test_X.shape[1], "te"))
+    test = load_features(_dataset_matrix(directory, "test_features"), "te")
     return train, test, load_labels(directory / "test_labels.json"), train.semantic

@@ -51,6 +51,7 @@ from .core import (
     EmbeddingMatrix,
     FeatureMatrix,
     LabeledDataset,
+    _hand_over,
     check_field_types,
     default_instance_ids,
 )
@@ -219,12 +220,12 @@ def _instances(rng: PortableRng, prototypes: np.ndarray, npc: int,
                sigma: float) -> np.ndarray:
     """``npc`` noisy copies of each prototype column, side by side: the
     bytes of ``np.repeat(prototypes, npc, axis=1) + sigma * noise``, built
-    in the noise's own buffer."""
+    in the noise's own buffer and handed over read-only."""
     d, c = prototypes.shape
     noise = rng.normal(d, c, npc)  # the draws of rng.normal(d, c * npc)
     noise *= sigma
     noise += prototypes[:, :, None]
-    return noise.reshape(d, c * npc)
+    return _hand_over(noise.reshape(d, c * npc))
 
 
 def generate(config: SynthConfig) -> SynthDataset:
@@ -280,7 +281,7 @@ def generate(config: SynthConfig) -> SynthDataset:
 
     split = ClassSplit(seen=seen_ids, unseen=unseen_ids)
     embeddings = EmbeddingMatrix(
-        np.concatenate([K_s, K_u], axis=1), seen_ids + unseen_ids
+        _hand_over(np.concatenate([K_s, K_u], axis=1)), seen_ids + unseen_ids
     )
     train = LabeledDataset(
         features=FeatureMatrix(train_X, default_instance_ids(k * npc, "tr")),

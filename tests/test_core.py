@@ -11,6 +11,7 @@ from dmap.core import (
     FeatureMatrix,
     LabeledDataset,
     _class_ids,
+    _hand_over,
     as_array,
     build_label_matrix,
     center_columns,
@@ -53,6 +54,55 @@ class TestFeatureMatrix:
             fm.data[0, 0] = 99.0
         src[0, 0] = 7  # mutating the source must not reach the container
         assert fm.data[0, 0] == 1.0
+
+    def test_writable_source_is_copied(self):
+        src = np.arange(6.0).reshape(2, 3)
+        fm = FeatureMatrix(src)
+        src[0, 0] = 99.0
+        assert fm.data[0, 0] == 0.0 and not np.shares_memory(fm.data, src)
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base = np.arange(6.0)
+        view = base.reshape(2, 3)
+        view.setflags(write=False)
+        fm = FeatureMatrix(view)
+        base[0] = 99.0
+        assert fm.data[0, 0] == 0.0 and not np.shares_memory(fm.data, base)
+
+    def test_writable_view_of_a_read_only_base_is_copied(self):
+        # Locking a base does not lock the views already taken of it.
+        base = np.arange(6.0)
+        view = base.reshape(2, 3)
+        base.setflags(write=False)
+        fm = FeatureMatrix(view)
+        view[0, 0] = 99.0
+        assert fm.data[0, 0] == 0.0 and not np.shares_memory(fm.data, base)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.frombuffer(np.arange(6.0).tobytes()).reshape(2, 3),  # base is bytes
+        lambda: np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        lambda: np.arange(6.0).reshape(2, 3).astype(">f8"),
+        lambda: np.arange(6, dtype=np.float32).reshape(2, 3),
+    ], ids=["foreign-base", "fortran", "big-endian", "float32"])
+    def test_read_only_arrays_of_other_layouts_are_copied(self, make):
+        src = _hand_over(make())
+        fm = FeatureMatrix(src)
+        assert not np.shares_memory(fm.data, src)
+        assert fm.data.dtype == np.float64 and fm.data.flags.c_contiguous
+        assert np.array_equal(fm.data, src) and not fm.data.flags.writeable
+
+    def test_read_only_chain_is_adopted(self):
+        base = np.arange(8.0)
+        view = _hand_over(base[:6].reshape(2, 3))
+        assert not base.flags.writeable
+        fm = FeatureMatrix(view)
+        em = EmbeddingMatrix(view)
+        assert fm.data is view and em.data is view
+        assert np.shares_memory(fm.data, base)
+        with pytest.raises(ValueError):
+            fm.data.setflags(write=True)
+        with pytest.raises(ValueError):
+            fm.data[0, 0] = 1.0
 
     def test_id_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -201,6 +201,24 @@ class TestMatrixFormat:
         assert exc.value.line == 2
         assert exc.value.column == 1
 
+    @pytest.mark.parametrize("name", ["m.dmx", "m.dmx.gz"])
+    def test_row_count_mismatch_comes_before_a_bad_token(self, tmp_path, name):
+        path = write_text_matrix(tmp_path / name, "dmap-matrix 1 2 2\n1.0 oops\n3.0 4.0\n5.0 6.0\n")
+        with pytest.raises(ShapeMismatch, match="declares 2 rows but body has 3 lines"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("name", ["m.dmx", "m.dmx.gz"])
+    def test_a_read_error_comes_before_a_bad_header(self, tmp_path, name):
+        path = write_text_matrix(tmp_path / name, b"other-format 1 1 1\n\xff\n")
+        with pytest.raises(ParseError, match="cannot read") as exc:
+            load_matrix(path)
+        assert exc.value.line is None
+
+    @pytest.mark.parametrize("name", ["m.dmx", "m.dmx.gz", "m.npy"])
+    def test_load_returns_a_writable_array(self, tmp_path, name):
+        save_matrix(np.eye(2), tmp_path / name)
+        assert load_matrix(tmp_path / name).flags.writeable
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "m.dmx"
         path.write_text("")
@@ -221,6 +239,14 @@ class TestMatrixFormat:
             assert np.array_equal(
                 load_matrix(path).view(np.uint64), arr.view(np.uint64)
             )
+
+
+def write_text_matrix(path, content):
+    """Write ``content`` (text, or raw bytes) to ``path``, gzip-wrapped for
+    ``*.gz``; return ``path``."""
+    raw = content.encode("utf-8") if isinstance(content, str) else content
+    path.write_bytes(gzip.compress(raw, mtime=0) if path.suffix == ".gz" else raw)
+    return path
 
 
 def per_token_rows(body, cols):

@@ -4,7 +4,8 @@ with ``tracemalloc`` (NumPy reports its array buffers to it).
 Each bound sits above the measured peak of the in-place code and below the
 peak of the code that built full-size temporaries: the second mapping
 path's maps and predictions held across a round, the Box-Muller transform
-in new arrays, and a text matrix held as a list of lines.
+in new arrays, a text matrix held as a list of lines or as one string, and
+containers that copy the fresh arrays they are given.
 """
 
 import tracemalloc
@@ -82,3 +83,49 @@ def test_load_matrix_holds_the_text_once(tmp_path):
     loaded, peak = peak_bytes(dio.load_matrix, path)
     assert loaded.tobytes() == matrix.tobytes()
     assert peak <= 2.25 * path.stat().st_size
+
+
+def test_load_matrix_holds_the_output_and_a_few_lines(tmp_path):
+    # The text is parsed as it is read, one line at a time: beside the
+    # output, the peak holds one line's tokens and the reader's buffer, far
+    # below the file's size (the whole text would be 2.45 outputs).
+    path = tmp_path / "m.dmx"
+    matrix = np.random.default_rng(0).normal(size=(200, 300))
+    dio.save_matrix(matrix, path)
+    dio.load_matrix(path)
+    loaded, peak = peak_bytes(dio.load_matrix, path)
+    assert loaded.tobytes() == matrix.tobytes()
+    assert peak <= loaded.nbytes + path.stat().st_size / 16
+
+
+@pytest.mark.parametrize("suffix", [".dmx", ".npy"])
+def test_load_dataset_holds_each_matrix_once(tmp_path, suffix):
+    # The containers adopt the arrays the loaders read.  Beside the three
+    # matrices the peak holds the finiteness checks' bool masks (an eighth
+    # of a matrix) and the id tuples; one more copy of the training
+    # features would add three quarters of the total.
+    world = generate(SynthConfig(d=D, p=P, k=K, l=3, n_per_class=NPC,
+                                 noise_sigma=0.05, seed=1))
+    dio.save_dataset(world, tmp_path)
+    if suffix == ".npy":
+        for stem in ("train_features", "test_features", "embeddings"):
+            dio.save_matrix(dio.load_matrix(tmp_path / f"{stem}.dmx"), tmp_path / f"{stem}.npy")
+            (tmp_path / f"{stem}.dmx").unlink()
+    dio.load_dataset(tmp_path)
+    (train, test, _, embeddings), peak = peak_bytes(dio.load_dataset, tmp_path)
+    assert train.features.data.tobytes() == world.train.features.data.tobytes()
+    total = train.features.data.nbytes + test.data.nbytes + embeddings.data.nbytes
+    assert peak <= 1.15 * total
+
+
+def test_generate_hands_its_arrays_to_the_containers():
+    # The awa-api bench world.  generate peaks while the Box-Muller
+    # transform builds the training features, at one and a half of them;
+    # the containers adopt what generate built, so no copy of a feature
+    # matrix rises above that (a copy of the training features: +9.8 MB).
+    config = SynthConfig(d=768, p=85, k=40, l=10, n_per_class=40,
+                         noise_sigma=0.05, irc_distortion=0.2, seed=1)
+    generate(config)
+    world, peak = peak_bytes(generate, config)
+    assert not world.train.features.data.flags.owndata  # a view of generate's buffer
+    assert peak <= 1.5 * world.train.features.data.nbytes + world.test_features.data.nbytes

@@ -16,8 +16,7 @@ OpenBLAS worker timeout
 -----------------------
 Every product, solve and eigenvalue computation runs in the OpenBLAS
 that NumPy's wheel bundles (``libscipy_openblas64_``; ``dmap.linmap``
-calls its ``dposv`` through ``ctypes``).  SciPy's wheel bundles a second
-build, which loads only for the solves where NumPy's library is missing.
+calls its ``dposv`` through ``ctypes``).
 After a threaded call, idle OpenBLAS workers busy-wait for 2^28 cycles
 (about 0.1 s) before they sleep, so the work that follows shares its
 cores with spinning threads.  Importing this package therefore sets
@@ -35,8 +34,8 @@ from __future__ import annotations
 
 import os
 
-# Set before any submodule loads NumPy's or SciPy's OpenBLAS; see the module
-# docstring for why idle OpenBLAS workers must not spin.
+# Set before any submodule loads NumPy's OpenBLAS; see the module docstring
+# for why idle OpenBLAS workers must not spin.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ from .core import (
     EmbeddingMatrix,
     FeatureMatrix,
     LabeledDataset,
-    _freeze,
     _hand_over,
     as_array,
     default_instance_ids,
@@ -513,7 +512,7 @@ def load_model(directory) -> DmapModel:
                              for name in ("f_s", "f_tilde", "k_tilde_s"))
     mean = None
     if has_mean:
-        mean = load_matrix(directory / f"feature_mean{suffix}").reshape(-1)
+        mean = _hand_over(load_matrix(directory / f"feature_mean{suffix}")).reshape(-1)
     d = f_s.shape[0]
     for name, size, expected, source in (
         (f"f_tilde{suffix} rows", f_tilde.shape[0], d, f"f_s{suffix} rows"),
@@ -530,8 +529,8 @@ def load_model(directory) -> DmapModel:
     except ValidationError as e:
         raise ParseError(f"{_MODEL_META} seen_class_ids: {e}: {directory}") from None
     return DmapModel(
-        f_s=_freeze(f_s),
-        f_tilde=_freeze(f_tilde),
+        f_s=f_s,
+        f_tilde=f_tilde,
         k_tilde_s=k_tilde_s,
         train_iterations_run=iterations,
         config=config,

@@ -47,14 +47,11 @@ in the OpenBLAS that NumPy's wheel bundles
 (``numpy.libs/libscipy_openblas64_-*.so``, 64-bit integer arguments),
 through ``ctypes``; the eigenvalues of an uncertified gate come from
 ``numpy.linalg.eigvalsh``.  That library already runs every NumPy
-product, so a ``dmap`` process holds one OpenBLAS and never imports
-``scipy.linalg`` (about 0.3 s and 26 MB on 2 vCPUs).  The results can
-differ from ``scipy.linalg.cho_factor`` and ``cho_solve`` in the last
-bit, since SciPy's wheel bundles another OpenBLAS build.  Where
-``numpy.libs`` does not hold exactly one such library, as with NumPy < 2
-wheels, conda or a distro NumPy, each solve is
-``cho_solve(cho_factor(A, lower=True), b)`` of ``scipy.linalg``, with
-SciPy's bytes.
+product, so a ``dmap`` process holds one OpenBLAS.  Where ``numpy.libs``
+does not hold exactly one such library, as with NumPy < 2 wheels, conda
+or a distro NumPy, each solve is ``numpy.linalg.cholesky`` followed by
+two ``numpy.linalg.solve`` calls on the factor: the same solution up to
+rounding, in whatever LAPACK that NumPy links.  No solve needs SciPy.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _finite_result, _require_matrices, as_array
+from .core import _finite_result, _hand_over, _require_matrices, as_array
 from .errors import DimensionMismatch, SingularSystem, ValidationError
 
 #: Gram matrices with estimated condition above this are refused.
@@ -136,30 +133,29 @@ def _one_blas_thread():
 
 def _spd_solve(A: np.ndarray, b: np.ndarray, failure: str) -> np.ndarray:
     """``A^-1 b`` for a finite square ``A``, read from its lower triangle, and
-    a 1-D or 2-D ``b``, in a new array, Fortran-ordered as f2py returns it:
-    ``dpotrf`` then ``dpotrs`` of NumPy's OpenBLAS, the steps of
-    ``scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)``,
-    which is the solve where that library is missing.
+    a 1-D or 2-D ``b``, in a new array: ``dposv`` of NumPy's OpenBLAS, on
+    Fortran-ordered copies, or where that library is missing
+    ``L^-T (L^-1 b)`` with ``L = numpy.linalg.cholesky(A)``.
 
-    Raises ``SingularSystem`` with ``failure``, a colon and SciPy's message
-    when ``A`` is not positive definite, and ``ValueError`` for a non-finite
-    ``b``, as SciPy's ``check_finite`` does.
+    Raises ``SingularSystem`` with ``failure``, a colon and LAPACK's or
+    NumPy's message when ``A`` is not positive definite, and ``ValueError``
+    for a non-finite ``b`` or for shapes that do not match.
     """
+    x = np.asarray_chkfinite(b, dtype=np.float64)
+    if x.ndim not in (1, 2) or A.shape != (x.shape[0],) * 2:
+        raise ValueError(f"incompatible dimensions ({A.shape} and {x.shape})")
     posv = _openblas_dposv()
     if posv is None:
-        import scipy.linalg
-
         try:
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)
+            L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"{failure}: {exc}") from exc
+        return np.linalg.solve(L.T, np.linalg.solve(L, x))
     a = np.array(A, dtype=np.float64, order="F")
-    x = np.array(np.asarray_chkfinite(b, dtype=np.float64), order="F")
-    if x.ndim not in (1, 2) or a.shape != (x.shape[0],) * 2:
-        raise ValueError(f"incompatible dimensions ({a.shape} and {x.shape})")
+    x = np.array(x, order="F")
     n, ld, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(max(1, a.shape[0])), ctypes.c_int64()
     nrhs = ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1)
-    # dpotrf, then dpotrs on the factor, as cho_factor and cho_solve call them.
+    # dpotrf, then dpotrs on the factor.
     posv(b"L", n, nrhs, a.ctypes.data, ld, x.ctypes.data, ld, info, 1)
     if info.value > 0:
         raise SingularSystem(
@@ -336,10 +332,9 @@ def solve_ridge_map(X, K, Y, gamma: float, eta: float, *,
         V = _gated_solve(K, eta, lambda: (T @ K.T).T, "embedding Gram K K^T").T
     else:
         V = T @ _gated_solve(K.T, eta, lambda: K.T, "embedding Gram K^T K")
-    # Both forms are new float64 arrays that nothing else holds.
-    V = np.ascontiguousarray(V)
-    V.setflags(write=False)
-    return V
+    # Both forms are new float64 arrays that nothing else holds; the p <= k
+    # form is a view of the solve's result, which is handed over with it.
+    return _hand_over(np.ascontiguousarray(V))
 
 
 def predict_semantic(V, X) -> np.ndarray:

@@ -38,6 +38,7 @@ from .core import (
     LabeledDataset,
     _class_ids,
     _finite_result,
+    _freeze,
     _relative_gap,
     _require_finite,
     _require_matrices,
@@ -129,7 +130,8 @@ class DmapModel:
     refined seen-class prototypes in feature dimension (``d x k``).
     ``feature_mean``, the ``d``-vector of training-feature means, is
     present exactly when ``config.center`` is set, so the identical shift
-    is applied at test time; ``ValidationError`` otherwise.
+    is applied at test time; ``ValidationError`` otherwise.  The model
+    holds its arrays read-only: a writable array given for one is copied.
     """
 
     f_s: np.ndarray
@@ -140,6 +142,9 @@ class DmapModel:
     feature_mean: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("f_s", "f_tilde", "feature_mean"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.f_tilde.shape[1] != self.k_tilde_s.data.shape[0]:
             raise ValidationError(
                 f"second path maps into dim {self.f_tilde.shape[1]} but refined prototypes "

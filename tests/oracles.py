@@ -6,7 +6,6 @@ import os
 from dataclasses import replace
 
 import numpy as np
-import scipy.linalg
 
 from dmap import linmap
 
@@ -33,7 +32,7 @@ def prediction_to_dict(prediction, mode):
 def numpy_openblas():
     """The OpenBLAS that NumPy has mapped into this process, as a ``ctypes``
     library, or ``None`` when ``dmap`` does not solve with it (and falls
-    back to ``scipy.linalg``).  Found in ``/proc/self/maps``, independently
+    back to ``numpy.linalg``).  Found in ``/proc/self/maps``, independently
     of how ``dmap.linmap`` finds it."""
     if linmap._openblas_dposv() is None:
         return None
@@ -56,11 +55,13 @@ def cholesky_solve(A, b):
     """``cho_solve(cho_factor(A, lower=True), b)`` in the LAPACK that
     ``dmap``'s solves call: ``dpotrf``, then ``dpotrs`` on the factor, two
     separate calls of NumPy's OpenBLAS on Fortran-ordered copies, or
-    ``scipy.linalg``'s pair where ``dmap`` falls back to it.  A failed
-    factor raises ``LinAlgError`` with SciPy's message."""
+    where ``dmap`` falls back to ``numpy.linalg``, its Cholesky factor and
+    two general solves on it.  A failed factor raises ``LinAlgError`` with
+    LAPACK's or NumPy's message."""
     lib = numpy_openblas()
     if lib is None:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)
+        L = np.linalg.cholesky(A)
+        return np.linalg.solve(L.T, np.linalg.solve(L, b))
     a = np.array(A, dtype=np.float64, order="F")
     x = np.array(b, dtype=np.float64, order="F")
     n, ld, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(max(1, a.shape[0])), ctypes.c_int64()

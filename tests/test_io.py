@@ -732,6 +732,14 @@ class TestModelDirectories:
         assert loaded.feature_mean is not None
         assert np.array_equal(loaded.feature_mean, model.feature_mean)
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        synth_cfg, run_cfg = exact_recovery_setup(seed=7)
+        model = train(generate(synth_cfg).train, replace(run_cfg, center=True))
+        save_model(model, tmp_path / "model")
+        loaded = load_model(tmp_path / "model")
+        for array in (loaded.f_s, loaded.f_tilde, loaded.k_tilde_s.data, loaded.feature_mean):
+            assert not array.flags.writeable
+
     def test_v2_round_trip_is_bitwise(self, tmp_path):
         synth_cfg, run_cfg = exact_recovery_setup(seed=7)
         model = train(generate(synth_cfg).train, replace(run_cfg, center=True))

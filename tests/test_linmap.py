@@ -1,7 +1,11 @@
 """Closed-form ridge map: oracle equivalence, optimality, and guards."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmap import linmap
-from dmap.consistency import consistency_report
 from dmap.errors import DimensionMismatch, NumericalError, SingularSystem, ValidationError
 from dmap.linmap import (
     COND_LIMIT,
@@ -21,7 +24,7 @@ from dmap.linmap import (
     ridge_feature_side,
     solve_ridge_map,
 )
-from dmap.model import DmapConfig, infer_transductive, train
+from dmap.model import DmapConfig, infer_inductive, infer_transductive, train
 from dmap.synth import SynthConfig, exact_recovery_setup, generate
 from oracles import cholesky_solve
 
@@ -554,6 +557,8 @@ def cholesky_reference(A, b, failure):
         raise SingularSystem(f"{failure}: {exc}") from exc
 
 
+@pytest.mark.skipif(linmap._openblas_dposv() is None,
+                    reason="checks the bundled dposv; the fallback has its own test")
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 300),
@@ -601,7 +606,7 @@ def test_spd_solve_matches_scipy(n, extra, nrhs, fortran_a, fortran_b, log_reg, 
     np.testing.assert_allclose(x, ref, rtol=0, atol=tol)
 
 
-@pytest.mark.parametrize("bundled", [True, False], ids=["dposv", "scipy.linalg"])
+@pytest.mark.parametrize("bundled", [True, False], ids=["dposv", "numpy.linalg"])
 def test_spd_solve_refuses_a_non_finite_right_hand_side(monkeypatch, bundled):
     if not bundled:
         monkeypatch.setattr(linmap, "_openblas_dposv", lambda: None)
@@ -609,33 +614,100 @@ def test_spd_solve_refuses_a_non_finite_right_hand_side(monkeypatch, bundled):
         _spd_solve(np.eye(2), np.array([1.0, np.nan]), "Gram")
 
 
-#: The ``cub-cli`` bench world and the flags its pipeline runs with.
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    nrhs=st.none() | st.integers(1, 20),
+    log_reg=st.floats(-8, 1),
+    broken=st.none() | st.integers(0, 119),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_numpy_fallback_matches_scipy_within_rounding(n, nrhs, log_reg, broken, seed):
+    """Without the bundled library the solve reads only the lower triangle
+    of ``A``, leaves its inputs alone, refuses a non-positive-definite
+    ``A`` with NumPy's message and otherwise agrees with SciPy's
+    ``cho_solve(cho_factor(A, lower=True), b)`` up to rounding."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n + 5))
+    A = B @ B.T + 10.0 ** log_reg * np.eye(n)
+    A[np.triu_indices(n, 1)] = rng.normal(size=n * (n - 1) // 2)
+    if broken is not None:
+        A[broken % n, broken % n] = -1.0
+    b = rng.normal(size=(n,) if nrhs is None else (n, nrhs))
+    inputs = A.tobytes(), b.tobytes()
+    with mock.patch.object(linmap, "_openblas_dposv", lambda: None):
+        if broken is None:
+            x = _spd_solve(A, b, "Gram")
+        else:
+            with pytest.raises(SingularSystem, match="^Gram: Matrix is not positive definite$"):
+                _spd_solve(A, b, "Gram")
+    assert (A.tobytes(), b.tobytes()) == inputs
+    if broken is not None:
+        return
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), b)
+    assert x.shape == ref.shape
+    cond = np.linalg.cond(np.tril(A) + np.tril(A, -1).T)
+    tol = 64 * n * np.finfo(np.float64).eps * cond * np.abs(ref).max()
+    np.testing.assert_allclose(x, ref, rtol=0, atol=tol)
+
+
+def test_the_fallback_needs_no_scipy():
+    """Training and transductive inference run through the NumPy fallback
+    in a process where ``import scipy`` fails."""
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from dmap import linmap\n"
+        "from dmap.model import infer_transductive, train\n"
+        "from dmap.synth import exact_recovery_setup, generate\n"
+        "linmap._openblas_dposv = lambda: None\n"
+        "factors, cholesky = [], np.linalg.cholesky\n"
+        "np.linalg.cholesky = lambda A: factors.append(A.shape) or cholesky(A)\n"
+        "synth_cfg, run_cfg = exact_recovery_setup(0)\n"
+        "world = generate(synth_cfg)\n"
+        "model = train(world.train, run_cfg)\n"
+        "infer_transductive(model, world.test_features,\n"
+        "                   world.embeddings.subset(world.split.unseen))\n"
+        "print(len(factors) > 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True"]
+
+
+#: The ``cub-cli`` bench world, and the flags its pipeline runs with plus ``center``.
 CUB_CLI_WORLD = SynthConfig(d=256, p=160, k=150, l=50, n_per_class=10, noise_sigma=0.05,
                             irc_distortion=0.2, seed=1)
-CUB_CLI_CONFIG = DmapConfig(m=10, gamma=1.0, eta=1.0, test_max_iter=3)
+CUB_CLI_CONFIG = DmapConfig(m=10, gamma=1.0, eta=1.0, test_max_iter=3, center=True)
 
 
-def test_without_the_bundled_library_scipy_linalg_gives_the_same_bytes(monkeypatch):
+def test_without_the_bundled_library_numpy_linalg_gives_the_same_decisions(monkeypatch):
+    """The fallback's bytes are pinned by no reference, but on the centred
+    ``cub-cli`` world it makes every decision ``dposv`` makes: the same
+    inductive and transductive classes and the same prototype bytes, from
+    maps within a relative 1e-12.  (Uncentred, this world has near-ties
+    that rounding can flip.)"""
     world = generate(CUB_CLI_WORLD)
     K_u = world.embeddings.subset(world.split.unseen)
-    all_X = np.concatenate([world.train.features.data, world.test_features.data], axis=1)
-    all_labels = tuple(world.train.labels) + tuple(world.test_labels)
 
     def run():
         model = train(world.train, CUB_CLI_CONFIG)
-        pred, protos = infer_transductive(model, world.test_features, K_u)
-        report = consistency_report(all_X, all_labels, world.split, world.embeddings,
-                                    CUB_CLI_CONFIG.lam)
-        arrays = (model.f_s, model.f_tilde, model.k_tilde_s.data, pred.score_matrix, protos.data)
-        return [a.tobytes() for a in arrays], pred.predicted_class, report
+        inductive = infer_inductive(model, world.test_features, K_u)
+        transductive, protos = infer_transductive(model, world.test_features, K_u)
+        return ((model.f_s, model.f_tilde),
+                (inductive.predicted_class, transductive.predicted_class,
+                 model.k_tilde_s.data.tobytes(), protos.data.tobytes()))
 
     assert linmap._openblas_dposv() is not None
-    direct = run()
-    calls = []
-    for name in ("cho_factor", "cho_solve"):
-        routine = getattr(scipy.linalg, name)
-        monkeypatch.setattr(scipy.linalg, name, lambda *args, _routine=routine, **kwargs:
-                            calls.append(_routine) or _routine(*args, **kwargs))
+    maps, decisions = run()
+    factors, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: factors.append(A.shape) or cholesky(A))
     monkeypatch.setattr(linmap, "_openblas_dposv", lambda: None)
-    assert run() == direct
-    assert len(set(calls)) == 2
+    fallback_maps, fallback_decisions = run()
+    assert factors
+    assert fallback_decisions == decisions
+    for ours, theirs in zip(fallback_maps, maps):
+        assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()

@@ -155,6 +155,45 @@ class TestModelInvariants:
         with pytest.raises(ValidationError, match="needs feature_mean"):
             replace(model, feature_mean=None)
 
+    def test_trained_arrays_are_read_only(self, exact_world, centred_exact_model):
+        _, model = exact_world
+        for trained in (model, centred_exact_model):
+            assert not (trained.f_s.flags.writeable or trained.f_tilde.flags.writeable)
+        assert not centred_exact_model.feature_mean.flags.writeable
+
+    def test_writable_arrays_given_are_copied(self, centred_exact_model):
+        model = centred_exact_model
+        given = {name: getattr(model, name).copy() for name in ("f_s", "f_tilde", "feature_mean")}
+        built = replace(model, **given)
+        for name, array in given.items():
+            held = getattr(built, name)
+            assert not held.flags.writeable and not np.shares_memory(held, array)
+            assert np.array_equal(held, array)
+            array += 1.0  # the caller's arrays stay theirs to change
+            assert np.array_equal(held, getattr(model, name))
+
+    def test_train_adopts_the_maps_it_solves(self, exact_world, monkeypatch):
+        # At p <= k a map is a view of its embedding-side solve's result;
+        # handing that over lets the model hold the map without a copy.
+        import dmap.model
+
+        data, model = exact_world
+        assert data.config.p <= data.config.k
+        solved, real_solve = [], dmap.model.solve_ridge_map
+
+        def recording_solve(*args, **kwargs):
+            solved.append(real_solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(dmap.model, "solve_ridge_map", recording_solve)
+        trained = train(data.train, model.config)
+        assert np.shares_memory(trained.f_s, solved[0])
+        assert np.shares_memory(trained.f_tilde, solved[-1])
+        for V in solved:  # no array in a map's base chain can write to it
+            while isinstance(V, np.ndarray):
+                assert not V.flags.writeable
+                V = V.base
+
 
 class TestKnnPrototype:
     def test_m1_exact_match_returns_that_feature(self):
